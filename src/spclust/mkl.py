@@ -1,14 +1,16 @@
 """Multiple-kernel extension of the graph-learning solver.
 
 A bank of r candidate kernels is blended into one combined kernel
-H = sum_i w_i K^i under the constraint sum_i sqrt(w_i) = 1. Each outer
-iteration runs the usual embedding and graph steps against the current H,
-then refreshes the weights from the per-kernel fit costs
+H = sum_i w_i K^i under the constraint sum_i sqrt(w_i) = 1. The solver runs
+the single-kernel alternating loop of :mod:`spclust.spc` against the current
+H; this module supplies only its kernel step, which after each projection
+refreshes the weights from the per-kernel fit costs
 
     h_i = tr(K^i) - 2 * alpha * tr(K^i Z) + tr(Z^T K^i Z)
 
-via the closed-form KKT solution w_i = (h_i * sum_j 1/h_j)^(-2). Kernels
-that explain the learned graph cheaply earn larger weights.
+via the closed-form KKT solution w_i = (h_i * sum_j 1/h_j)^(-2) and
+recombines the bank. Kernels that explain the learned graph cheaply earn
+larger weights.
 
 Weights start at the literal 1/r, which breaks the sqrt-sum constraint for
 r > 1; the first update restores feasibility and every later iterate keeps
@@ -17,26 +19,12 @@ it. This mirrors the published algorithm's initialization, quirk included.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import KernelMatrix, kernel_values
-from .numerics import spd_factorize, spd_solve, symmetric_eigen
-from .spc import (
-    MAX_BETA_ADJUSTMENTS,
-    ZERO_EIG_TOL,
-    ClusteringResult,
-    SpcConfig,
-    SpcTrace,
-    _row_sq_dists,
-    build_laplacian,
-    extract_labels,
-    init_graph,
-    objective,
-    project_nonneg,
-)
+from .spc import ClusteringResult, SpcConfig, alternate
 
 # tolerance on |sum(sqrt(w)) - 1| when validating caller-supplied weights
 FEASIBILITY_TOL = 1e-8
@@ -55,12 +43,14 @@ class MklState:
 def _check_bank(bank: list[KernelMatrix]) -> int:
     if len(bank) == 0:
         raise ValueError("kernel bank is empty")
-    n = kernel_values(bank[0]).shape[0]
-    for i, K in enumerate(bank):
-        vals = kernel_values(K)
-        if vals.shape != (n, n):
+    shapes = [kernel_values(K).shape for K in bank]
+    if len(shapes[0]) != 2 or shapes[0][0] != shapes[0][1]:
+        raise ValueError(f"kernel 0 has shape {shapes[0]}, expected a square matrix")
+    n = shapes[0][0]
+    for i, shape in enumerate(shapes):
+        if shape != (n, n):
             raise ValueError(
-                f"kernel {i} has shape {vals.shape}, expected ({n}, {n}) to match kernel 0"
+                f"kernel {i} has shape {shape}, expected ({n}, {n}) to match kernel 0"
             )
     return n
 
@@ -71,8 +61,8 @@ def combine_kernels(
     """Entrywise weighted sum H = sum_i w_i K^i.
 
     Weights must be nonnegative and, unless require_feasible is off, satisfy
-    sum(sqrt(w)) = 1. The solver loop disables the check once, for the
-    deliberately infeasible 1/r starting point.
+    sum(sqrt(w)) = 1. run_mspc disables the check once, for the
+    deliberately infeasible 1/r starting point; every later combine is checked.
     """
     n = _check_bank(bank)
     w = np.asarray(w, dtype=float)
@@ -130,92 +120,34 @@ def update_weights(h: np.ndarray) -> np.ndarray:
 def run_mspc(bank: list[KernelMatrix], cfg: SpcConfig) -> tuple[ClusteringResult, MklState]:
     """Alternating solver over a kernel bank with learned kernel weights.
 
-    Per iteration: combine the bank with the current weights, take the c
-    bottom Laplacian eigenvectors, solve every graph column against the
-    combined kernel, project to the nonnegative orthant, then refresh costs
-    and weights. Stops like the single-kernel solver: relative Frobenius
-    change of Z below cfg.rel_tol, or cfg.max_iters.
+    Runs the loop of :func:`spclust.spc.alternate` on the combined kernel,
+    starting from the literal 1/r weights. After each projection the kernel
+    step refreshes the costs and weights from the new graph and combines the
+    bank into the next iteration's kernel. Stops like the single-kernel
+    solver: relative Frobenius change of Z below cfg.rel_tol, or
+    cfg.max_iters. The returned state holds the last step's weights, costs
+    and combined kernel.
 
     A bank of one kernel reproduces the single-kernel run bit for bit given
     the same seed, since the lone weight is exactly 1.
     """
-    n = _check_bank(bank)
-    if cfg.clusters > n:
-        raise ValueError(f"clusters={cfg.clusters} exceeds the number of samples {n}")
+    _check_bank(bank)
     r = len(bank)
     # literal published initialization; infeasible for r > 1 until first update
     w = np.full(r, 1.0 / r)
-    h = np.full(r, np.nan)
-    Z = init_graph(n, cfg.seed)
-    beta = cfg.beta
-    adjustments = 0
-    trace = SpcTrace()
-    tol_reached = False
-    F = np.zeros((n, cfg.clusters))
-    eye = np.eye(n)
-
-    for _ in range(cfg.max_iters):
-        tic = time.perf_counter()
-        H = kernel_values(combine_kernels(bank, w, require_feasible=False))
-        factor = spd_factorize(H + 2.0 * cfg.gamma * eye)
-
-        L = build_laplacian(Z)
-        eig = symmetric_eigen(L)
-        F = eig.vectors[:, : cfg.clusters]
-        zero_eigs = int(np.count_nonzero(eig.values < ZERO_EIG_TOL))
-
-        if cfg.adapt_beta and adjustments < MAX_BETA_ADJUSTMENTS:
-            if zero_eigs < cfg.clusters:
-                beta *= 2.0
-                adjustments += 1
-            elif zero_eigs > cfg.clusters:
-                beta *= 0.5
-                adjustments += 1
-        cfg_iter = cfg if beta == cfg.beta else replace(cfg, beta=beta)
-
-        obj_f = objective(H, Z, F, cfg_iter)
-        P = _row_sq_dists(F)
-        Z_unproj = spd_solve(factor, cfg.alpha * H - 0.5 * beta * P)
-        obj_z = objective(H, Z_unproj, F, cfg_iter)
-        Z_new = project_nonneg(Z_unproj)
-        obj = objective(H, Z_new, F, cfg_iter)
-
-        prev_norm = float(np.linalg.norm(Z))
-        diff_norm = float(np.linalg.norm(Z_new - Z))
-        if prev_norm > 0:
-            rel = diff_norm / prev_norm
-        else:
-            rel = 0.0 if diff_norm == 0 else float("inf")
-        Z = Z_new
-
-        h = kernel_costs(bank, Z, cfg.alpha)
-        w = update_weights(h)
-
-        trace.objective.append(float(obj))
-        trace.objective_after_embedding.append(float(obj_f))
-        trace.objective_after_graph.append(float(obj_z))
-        trace.rel_change.append(rel)
-        trace.near_zero_eigs.append(zero_eigs)
-        trace.beta.append(beta)
-        trace.wall_time.append(time.perf_counter() - tic)
-
-        if rel < cfg.rel_tol:
-            tol_reached = True
-            break
-
-    labels, component_count = extract_labels(Z)
-    result = ClusteringResult(
-        labels=labels,
-        component_count=component_count,
-        graph=Z,
-        embedding=F,
-        trace=trace,
-        converged=tol_reached and component_count == cfg.clusters,
-    )
     state = MklState(
         weights=w,
-        combined=combine_kernels(bank, w),
-        costs=h,
-        iterations=trace.iterations,
+        combined=combine_kernels(bank, w, require_feasible=False),
+        costs=np.full(r, np.nan),
+        iterations=0,
     )
+
+    def next_kernel(Z: np.ndarray) -> KernelMatrix:
+        state.costs = kernel_costs(bank, Z, cfg.alpha)
+        state.weights = update_weights(state.costs)
+        state.combined = combine_kernels(bank, state.weights)
+        return state.combined
+
+    result = alternate(state.combined, cfg, next_kernel)
+    state.iterations = result.trace.iterations
     return result, state

@@ -13,20 +13,24 @@ Each outer iteration alternates:
    ridge-regularized quadratic, via one reusable Cholesky factor of
    K + 2*gamma*I;
 3. projection: Z <- max(Z, 0).
+
+The loop lives here once, in :func:`alternate`. The multiple-kernel solver
+in :mod:`spclust.mkl` runs the same loop and supplies a kernel step that
+swaps in a newly weighted kernel after each projection.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
 
-from .kernels import kernel_values
+from .kernels import KernelMatrix, kernel_values
 from .numerics import (
     SpdFactorization,
     spd_factorize,
@@ -81,7 +85,8 @@ class SpcTrace:
     ``objective`` is evaluated on the projected iterate; the two extra
     series capture the value right after the embedding step and right after
     the (unprojected) graph step, so descent of the exact minimizers can be
-    audited after the run.
+    audited after the run. ``wall_time`` holds the seconds each iteration
+    took; for mSPC that includes combining the next iteration's kernel.
     """
 
     objective: list[float] = field(default_factory=list)
@@ -117,10 +122,9 @@ def build_laplacian(Z: np.ndarray) -> np.ndarray:
 
 def update_embedding(L: np.ndarray, c: int) -> np.ndarray:
     """Orthonormal n x c matrix spanning the c bottom eigenvectors of L."""
-    eig = symmetric_eigen(L)
     if c > L.shape[0]:
         raise ValueError(f"cannot take {c} eigenvectors from an order-{L.shape[0]} matrix")
-    return eig.vectors[:, :c]
+    return symmetric_eigen(L).vectors[:, :c]
 
 
 def embedding_distances(F: np.ndarray, i: int) -> np.ndarray:
@@ -138,20 +142,22 @@ def _row_sq_dists(F: np.ndarray) -> np.ndarray:
 
 
 def update_graph_column(
-    f: SpdFactorization, K_row_i: np.ndarray, d_i: np.ndarray, cfg: SpcConfig
+    f: SpdFactorization, k: np.ndarray, d: np.ndarray, cfg: SpcConfig
 ) -> np.ndarray:
-    """Closed-form unconstrained minimizer for one affinity column.
+    """Closed-form unconstrained minimizer for affinity columns.
 
-    Solves (K + 2*gamma*I) z = alpha * K_row_i - (beta / 2) * d_i using the
-    prefactored left-hand side; nonnegativity is applied later by the caller.
+    Solves (K + 2*gamma*I) z = alpha * k - (beta / 2) * d using the
+    prefactored left-hand side, where k is kernel column i and d the squared
+    embedding distances from sample i. k and d may also be n x m blocks of
+    such columns, solved at once. Nonnegativity is applied later by the caller.
     """
-    K_row_i = np.asarray(K_row_i, dtype=float)
-    d_i = np.asarray(d_i, dtype=float)
-    if K_row_i.shape != (f.order,) or d_i.shape != (f.order,):
+    k = np.asarray(k, dtype=float)
+    d = np.asarray(d, dtype=float)
+    if k.ndim not in (1, 2) or k.shape[0] != f.order or d.shape != k.shape:
         raise ValueError(
-            f"expected vectors of length {f.order}, got {K_row_i.shape} and {d_i.shape}"
+            f"expected columns of length {f.order}, got {k.shape} and {d.shape}"
         )
-    return spd_solve(f, cfg.alpha * K_row_i - 0.5 * cfg.beta * d_i)
+    return spd_solve(f, cfg.alpha * k - 0.5 * cfg.beta * d)
 
 
 def project_nonneg(Z: np.ndarray) -> np.ndarray:
@@ -219,14 +225,30 @@ def run_spc(K, cfg: SpcConfig) -> ClusteringResult:
     at most once per iteration and 30 times total. This is an extension
     beyond the fixed-beta algorithm and is off by default.
     """
+    return alternate(K, cfg)
+
+
+def alternate(
+    K,
+    cfg: SpcConfig,
+    next_kernel: Optional[Callable[[np.ndarray], KernelMatrix | np.ndarray]] = None,
+) -> ClusteringResult:
+    """The alternating loop behind run_spc and run_mspc.
+
+    Without next_kernel, K stays fixed and is factorized once. With it,
+    next_kernel(Z) is called after every projection and returns the kernel
+    for the following iteration, which is factorized when that iteration
+    starts; so a run factorizes once per iteration and never for the kernel
+    returned after the last one.
+    """
     K = kernel_values(K)
-    n = K.shape[0]
-    if K.ndim != 2 or K.shape[1] != n:
+    if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError(f"kernel must be square, got shape {K.shape}")
+    n = K.shape[0]
     if cfg.clusters > n:
         raise ValueError(f"clusters={cfg.clusters} exceeds the number of samples {n}")
 
-    factor = spd_factorize(K + 2.0 * cfg.gamma * np.eye(n))
+    factor = None
     Z = init_graph(n, cfg.seed)
     beta = cfg.beta
     adjustments = 0
@@ -236,6 +258,8 @@ def run_spc(K, cfg: SpcConfig) -> ClusteringResult:
 
     for _ in range(cfg.max_iters):
         tic = time.perf_counter()
+        if factor is None:
+            factor = spd_factorize(K + 2.0 * cfg.gamma * np.eye(n))
         L = build_laplacian(Z)
         eig = symmetric_eigen(L)
         F = eig.vectors[:, : cfg.clusters]
@@ -251,8 +275,8 @@ def run_spc(K, cfg: SpcConfig) -> ClusteringResult:
         cfg_iter = cfg if beta == cfg.beta else replace(cfg, beta=beta)
 
         obj_f = objective(K, Z, F, cfg_iter)
-        P = _row_sq_dists(F)
-        Z_unproj = spd_solve(factor, cfg.alpha * K - 0.5 * beta * P)
+        # all columns at once: column j pairs kernel column j with distances from j
+        Z_unproj = update_graph_column(factor, K, _row_sq_dists(F), cfg_iter)
         obj_z = objective(K, Z_unproj, F, cfg_iter)
         Z_new = project_nonneg(Z_unproj)
         obj = objective(K, Z_new, F, cfg_iter)
@@ -264,6 +288,10 @@ def run_spc(K, cfg: SpcConfig) -> ClusteringResult:
         else:
             rel = 0.0 if diff_norm == 0 else float("inf")
         Z = Z_new
+
+        if next_kernel is not None:
+            K = kernel_values(next_kernel(Z))
+            factor = None
 
         trace.objective.append(float(obj))
         trace.objective_after_embedding.append(float(obj_f))

@@ -1,7 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 import spclust as sp
+import spclust.spc as spc_module
 from spclust import combine_kernels, kernel_costs, run_mspc, update_weights
 
 
@@ -57,6 +60,11 @@ def test_combine_validates_inputs():
     bad = random_bank(rng, 5, 1) + random_bank(rng, 4, 1)
     with pytest.raises(ValueError, match="to match kernel 0"):
         combine_kernels(bad, [0.25, 0.25])
+    cfg = sp.SpcConfig(alpha=1.0, beta=0.5, gamma=3.0, clusters=2)
+    with pytest.raises(ValueError, match="has shape"):
+        run_mspc([np.float64(3.0)], cfg)
+    with pytest.raises(ValueError, match="has shape"):
+        run_mspc([np.zeros((3, 4))], cfg)
 
 
 # --- per-kernel costs --------------------------------------------------------------
@@ -171,8 +179,30 @@ def test_single_kernel_bank_reproduces_plain_solver():
     multi, state = run_mspc([K], cfg)
     assert np.array_equal(plain.labels, multi.labels)
     assert np.array_equal(plain.graph, multi.graph)
-    assert plain.trace.objective == multi.trace.objective
+    assert np.array_equal(plain.embedding, multi.embedding)
+    for series in fields(sp.SpcTrace):
+        if series.name != "wall_time":
+            assert getattr(plain.trace, series.name) == getattr(multi.trace, series.name), series.name
     assert state.weights.shape == (1,) and state.weights[0] == 1.0
+
+
+def test_factorizes_once_per_kernel(monkeypatch):
+    # a fixed kernel is factorized once; a bank's kernel changes every
+    # iteration, and the one combined after the last iteration is never used
+    calls = []
+
+    def counting_factorize(A):
+        calls.append(A.shape)
+        return sp.spd_factorize(A)
+
+    monkeypatch.setattr(spc_module, "spd_factorize", counting_factorize)
+    X = blob_dataset()
+    cfg = sp.SpcConfig(alpha=1.0, beta=0.5, gamma=3.0, clusters=2, adapt_beta=True, seed=0)
+    result = sp.run_spc(sp.gaussian_kernel(X, 1.0), cfg)
+    assert result.trace.iterations > 1 and len(calls) == 1
+    calls.clear()
+    result, _ = run_mspc(sp.build_standard_bank(X), cfg)
+    assert result.trace.iterations > 1 and len(calls) == result.trace.iterations
 
 
 def test_identical_kernels_get_uniform_weights():

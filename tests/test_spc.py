@@ -92,8 +92,17 @@ def test_graph_column_solves_the_linear_system():
     lhs = (K + 2 * cfg.gamma * np.eye(n)) @ z
     rhs = cfg.alpha * K[0] - 0.5 * cfg.beta * d
     assert np.allclose(lhs, rhs, atol=1e-10)
+    # a block of columns is solved at once, as the solver loop does
+    D = rng.random((n, n))
+    Zb = sp.update_graph_column(f, K, D, cfg)
+    columns = [sp.update_graph_column(f, K[:, j], D[:, j], cfg) for j in range(n)]
+    assert np.allclose(Zb, np.column_stack(columns), rtol=0, atol=1e-12)
+    lhs = (K + 2 * cfg.gamma * np.eye(n)) @ Zb
+    assert np.allclose(lhs, cfg.alpha * K - 0.5 * cfg.beta * D, atol=1e-10)
     with pytest.raises(ValueError, match="length"):
         sp.update_graph_column(f, K[0][:5], d, cfg)
+    with pytest.raises(ValueError, match="length"):
+        sp.update_graph_column(f, K, D[:, :5], cfg)
 
 
 def test_graph_column_without_distance_pull():
@@ -315,6 +324,8 @@ def test_solver_input_validation():
     cfg = small_config()
     with pytest.raises(ValueError, match="square"):
         sp.run_spc(np.zeros((3, 4)), cfg)
+    with pytest.raises(ValueError, match="square"):
+        sp.run_spc(np.float64(3.0), cfg)
     with pytest.raises(ValueError, match="clusters"):
         sp.run_spc(np.eye(3), small_config(clusters=4))
     with pytest.raises(sp.FactorizationError):
