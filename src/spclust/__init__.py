@@ -35,7 +35,6 @@ from .spc import (
     SpcConfig,
     SpcTrace,
     build_laplacian,
-    embedding_distances,
     extract_labels,
     objective,
     project_nonneg,
@@ -89,7 +88,6 @@ __all__ = [
     "SpcConfig",
     "SpcTrace",
     "build_laplacian",
-    "embedding_distances",
     "extract_labels",
     "objective",
     "project_nonneg",

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import KernelMatrix, kernel_values
+from .numerics import product
 from .spc import ClusteringResult, SpcConfig, alternate
 
 # tolerance on |sum(sqrt(w)) - 1| when validating caller-supplied weights
@@ -83,16 +84,21 @@ def combine_kernels(
 
 
 def kernel_costs(bank: list[KernelMatrix], Z: np.ndarray, alpha: float) -> np.ndarray:
-    """Per-kernel fit costs tr(K^i - 2*alpha*K^i Z + Z^T K^i Z)."""
+    """Per-kernel fit costs tr(K^i - 2*alpha*K^i Z + Z^T K^i Z).
+
+    Both traces are Frobenius inner products with matrices that do not
+    depend on the kernel, tr(K Z) = <K, Z'> and tr(Z'KZ) = <K, ZZ'>, so the
+    whole bank costs one n x n product (ZZ') and one pass per kernel.
+    """
     n = _check_bank(bank)
     Z = np.asarray(Z, dtype=float)
     if Z.shape != (n, n):
         raise ValueError(f"graph has shape {Z.shape}, kernels have order {n}")
+    M = product(Z, Z, trans_b=True) - 2.0 * alpha * Z.T
     h = np.empty(len(bank))
     for i, K in enumerate(bank):
         vals = kernel_values(K)
-        KZ = vals @ Z
-        h[i] = np.trace(vals) - 2.0 * alpha * float(np.sum(vals * Z.T)) + float(np.sum(KZ * Z))
+        h[i] = np.trace(vals) + float(np.sum(vals * M))
     return h
 
 

@@ -3,16 +3,28 @@
 Everything here works on plain float64 numpy arrays. Inputs that are meant
 to be symmetric are symmetrized on entry, so downstream code can rely on an
 exactly symmetric matrix and a real spectrum.
+
+All BLAS and LAPACK work of the solvers goes through scipy: products through
+:func:`product` (scipy's ``dgemm``), factorizations and eigensolves through
+``scipy.linalg``, and Frobenius norms as ``sqrt(sum(x * x))``. numpy's ``@``,
+``np.dot`` and ``np.linalg`` are kept out of the solver loop. numpy and scipy
+each load their own OpenBLAS, and after a numpy BLAS call numpy's worker
+thread keeps spinning on a core for a while, so the next scipy LAPACK call
+competes with it. On a 2-core host, solving for the 3 bottom eigenpairs of
+an order-1000 Laplacian took 62 ms after a pause, 60 ms right after a scipy
+``dgemm``, 106 ms right after a numpy ``K @ Z`` and 139 ms right after a
+numpy ``np.linalg.norm`` (median of 10 each).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, eigh
+from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dpotrf
 
 ASYMMETRY_WARN_TOL = 1e-8
@@ -35,7 +47,7 @@ class FactorizationError(ValueError):
 
 
 class EigenSystem(NamedTuple):
-    """Full spectrum of a symmetric matrix, eigenvalues ascending.
+    """Bottom eigenpairs of a symmetric matrix, eigenvalues ascending.
 
     ``vectors[:, j]`` is the unit eigenvector paired with ``values[j]``.
     """
@@ -74,11 +86,31 @@ def symmetrize(A: np.ndarray, warn_tol: float = ASYMMETRY_WARN_TOL) -> np.ndarra
     return 0.5 * (A + A.T)
 
 
-def symmetric_eigen(A: np.ndarray) -> EigenSystem:
-    """Full eigendecomposition of a symmetric matrix, eigenvalues ascending."""
+def symmetric_eigen(A: np.ndarray, count: Optional[int] = None) -> EigenSystem:
+    """The count smallest eigenpairs of a symmetric matrix, eigenvalues ascending.
+
+    Without count, or with count >= the order, the full spectrum is returned.
+    """
+    if count is not None and count < 1:
+        raise ValueError(f"eigenpair count must be >= 1, got {count}")
     A = symmetrize(A)
-    values, vectors = np.linalg.eigh(A)
+    subset = None if count is None or count >= A.shape[0] else [0, count - 1]
+    # symmetrize returned a fresh, finite array: LAPACK may overwrite it unchecked
+    values, vectors = eigh(
+        A, subset_by_index=subset, driver="evr", overwrite_a=True, check_finite=False
+    )
     return EigenSystem(values, vectors)
+
+
+def product(a: np.ndarray, b: np.ndarray, trans_b: bool = False) -> np.ndarray:
+    """The matrix product a @ b, or a @ b.T with trans_b, through scipy's dgemm.
+
+    Row-major operands are handed to the column-major BLAS as their
+    transposes, so they are not copied; the result is row-major.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return dgemm(1.0, b.T, a.T, trans_a=trans_b).T
 
 
 def spd_factorize(A: np.ndarray) -> SpdFactorization:

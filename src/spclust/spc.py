@@ -10,9 +10,17 @@ Each outer iteration alternates:
 
 1. embedding step: F <- the c bottom eigenvectors of the Laplacian of Z;
 2. graph step: every column of Z gets the closed-form minimizer of the
-   ridge-regularized quadratic, via one reusable Cholesky factor of
-   K + 2*gamma*I;
+   ridge-regularized quadratic, A^{-1} (alpha*K - (beta/2)*P) with
+   A = K + 2*gamma*I and P the squared embedding distances. P is
+   s 1' + 1 s' - 2 F F' with s = rowsum(F * F), so the step is alpha*A^{-1}K,
+   computed once per factorization of A, plus a rank-(c+2) update that needs
+   only an n x (c+2) solve per iteration;
 3. projection: Z <- max(Z, 0).
+
+The objective diagnostics come from exact identities rather than from
+:func:`objective`: the spectral term is 0.5*<Z, P>, tr(Z'KZ) = <K, ZZ'>, and
+the normal equations give K Z = alpha*K - (beta/2)*P - 2*gamma*Z for the
+unprojected graph step. One n x n product per iteration remains.
 
 The loop lives here once, in :func:`alternate`. The multiple-kernel solver
 in :mod:`spclust.mkl` runs the same loop and supplies a kernel step that
@@ -21,21 +29,23 @@ swaps in a newly weighted kernel after each projection.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial.distance import cdist
 
 from .kernels import KernelMatrix, kernel_values
 from .numerics import (
     SpdFactorization,
+    product,
     spd_factorize,
     spd_solve,
     symmetric_eigen,
+    symmetrize,
 )
 
 # eigenvalues below this count as zero when checking component structure
@@ -85,8 +95,12 @@ class SpcTrace:
     ``objective`` is evaluated on the projected iterate; the two extra
     series capture the value right after the embedding step and right after
     the (unprojected) graph step, so descent of the exact minimizers can be
-    audited after the run. ``wall_time`` holds the seconds each iteration
-    took; for mSPC that includes combining the next iteration's kernel.
+    audited after the run. All three come from exact identities (see the
+    module docstring) and agree with :func:`objective` up to rounding.
+    ``near_zero_eigs`` counts near-zero Laplacian eigenvalues among the c+1
+    smallest, the only ones computed, so it is at most c+1.
+    ``wall_time`` holds the seconds each iteration took; for mSPC that
+    includes combining the next iteration's kernel.
     """
 
     objective: list[float] = field(default_factory=list)
@@ -124,21 +138,7 @@ def update_embedding(L: np.ndarray, c: int) -> np.ndarray:
     """Orthonormal n x c matrix spanning the c bottom eigenvectors of L."""
     if c > L.shape[0]:
         raise ValueError(f"cannot take {c} eigenvectors from an order-{L.shape[0]} matrix")
-    return symmetric_eigen(L).vectors[:, :c]
-
-
-def embedding_distances(F: np.ndarray, i: int) -> np.ndarray:
-    """Squared distances from embedding row i to every row (zero at i)."""
-    F = np.asarray(F, dtype=float)
-    d = ((F - F[i]) ** 2).sum(axis=1)
-    d[i] = 0.0
-    return d
-
-
-def _row_sq_dists(F: np.ndarray) -> np.ndarray:
-    """All pairwise squared distances between embedding rows."""
-    P = cdist(F, F, "sqeuclidean")
-    return 0.5 * (P + P.T)
+    return symmetric_eigen(L, c).vectors[:, :c]
 
 
 def update_graph_column(
@@ -236,10 +236,10 @@ def alternate(
     """The alternating loop behind run_spc and run_mspc.
 
     Without next_kernel, K stays fixed and is factorized once. With it,
-    next_kernel(Z) is called after every projection and returns the kernel
-    for the following iteration, which is factorized when that iteration
-    starts; so a run factorizes once per iteration and never for the kernel
-    returned after the last one.
+    next_kernel(Z) is called after every projection and returns the
+    (exactly symmetric) kernel for the following iteration, which is
+    factorized when that iteration starts; so a run factorizes once per
+    iteration and never for the kernel returned after the last one.
     """
     K = kernel_values(K)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
@@ -247,9 +247,14 @@ def alternate(
     n = K.shape[0]
     if cfg.clusters > n:
         raise ValueError(f"clusters={cfg.clusters} exceeds the number of samples {n}")
+    # the objective identities need K exactly symmetric
+    K = symmetrize(K)
 
     factor = None
     Z = init_graph(n, cfg.seed)
+    z_sq = _inner(Z, Z)
+    gram = product(Z, Z, trans_b=True)
+    smooth = _smooth_part(K, Z, gram, z_sq, cfg)
     beta = cfg.beta
     adjustments = 0
     trace = SpcTrace()
@@ -260,8 +265,8 @@ def alternate(
         tic = time.perf_counter()
         if factor is None:
             factor = spd_factorize(K + 2.0 * cfg.gamma * np.eye(n))
-        L = build_laplacian(Z)
-        eig = symmetric_eigen(L)
+            AK = spd_solve(factor, K)
+        eig = symmetric_eigen(build_laplacian(Z), cfg.clusters + 1)
         F = eig.vectors[:, : cfg.clusters]
         zero_eigs = int(np.count_nonzero(eig.values < ZERO_EIG_TOL))
 
@@ -272,26 +277,32 @@ def alternate(
             elif zero_eigs > cfg.clusters:
                 beta *= 0.5
                 adjustments += 1
-        cfg_iter = cfg if beta == cfg.beta else replace(cfg, beta=beta)
 
-        obj_f = objective(K, Z, F, cfg_iter)
-        # all columns at once: column j pairs kernel column j with distances from j
-        Z_unproj = update_graph_column(factor, K, _row_sq_dists(F), cfg_iter)
-        obj_z = objective(K, Z_unproj, F, cfg_iter)
+        s = np.sum(F * F, axis=1)
+        obj_f = smooth + beta * _spectral(Z, F, s)
+        Z_unproj = _graph_step(factor, AK, F, s, cfg.alpha, beta)
+        # K Z_unproj = alpha*K - (beta/2)*P - 2*gamma*Z_unproj turns the fit
+        # and ridge terms into the preservation and spectral ones
+        spectral = _spectral(Z_unproj, F, s)
+        obj_z = 0.5 * (float(np.trace(K)) - cfg.alpha * _inner(K, Z_unproj) + beta * spectral)
         Z_new = project_nonneg(Z_unproj)
-        obj = objective(K, Z_new, F, cfg_iter)
+        new_sq = _inner(Z_new, Z_new)
+        gram = product(Z_new, Z_new, trans_b=True)
+        smooth = _smooth_part(K, Z_new, gram, new_sq, cfg)
+        obj = smooth + beta * _spectral(Z_new, F, s)
 
-        prev_norm = float(np.linalg.norm(Z))
-        diff_norm = float(np.linalg.norm(Z_new - Z))
-        if prev_norm > 0:
-            rel = diff_norm / prev_norm
+        diff = Z_new - Z
+        diff_norm = math.sqrt(_inner(diff, diff))
+        if z_sq > 0:
+            rel = diff_norm / math.sqrt(z_sq)
         else:
             rel = 0.0 if diff_norm == 0 else float("inf")
-        Z = Z_new
+        Z, z_sq = Z_new, new_sq
 
         if next_kernel is not None:
             K = kernel_values(next_kernel(Z))
             factor = None
+            smooth = _smooth_part(K, Z, gram, z_sq, cfg)
 
         trace.objective.append(float(obj))
         trace.objective_after_embedding.append(float(obj_f))
@@ -314,3 +325,47 @@ def alternate(
         trace=trace,
         converged=tol_reached and component_count == cfg.clusters,
     )
+
+
+def _inner(A: np.ndarray, B: np.ndarray) -> float:
+    """Frobenius inner product <A, B>."""
+    return float(np.sum(A * B))
+
+
+def _smooth_part(
+    K: np.ndarray, Z: np.ndarray, gram: np.ndarray, z_sq: float, cfg: SpcConfig
+) -> float:
+    """The objective at Z without its spectral term, for symmetric K.
+
+    gram = Z Z' and z_sq = ||Z||_F^2; tr(Z'KZ) = <K, gram> and tr(KZ) = <K, Z>.
+    """
+    fit = 0.5 * (float(np.trace(K)) + _inner(K, gram))
+    return fit - cfg.alpha * _inner(K, Z) + cfg.gamma * z_sq
+
+
+def _spectral(Z: np.ndarray, F: np.ndarray, s: np.ndarray) -> float:
+    """tr(F'LF) for the Laplacian L of Z's symmetrization, with s = rowsum(F * F).
+
+    It equals 0.5*<Z, P> for the squared distances P = s1' + 1s' - 2FF'.
+    """
+    sums = Z.sum(axis=0) + Z.sum(axis=1)
+    return 0.5 * float(np.sum(s * sums)) - _inner(product(Z, F), F)
+
+
+def _graph_step(
+    factor: SpdFactorization,
+    AK: np.ndarray,
+    F: np.ndarray,
+    s: np.ndarray,
+    alpha: float,
+    beta: float,
+) -> np.ndarray:
+    """The unprojected graph step A^{-1} (alpha*K - (beta/2)*P) from AK = A^{-1} K.
+
+    A^{-1} P = (A^{-1}s) 1' + (A^{-1}1) s' - 2 (A^{-1}F) F' is a rank-(c+2)
+    product, so only an n x (c+2) block is solved.
+    """
+    ones = np.ones_like(s)
+    solved = spd_solve(factor, np.column_stack([s, ones, F]))
+    weights = np.concatenate([[-0.5 * beta, -0.5 * beta], np.full(F.shape[1], beta)])
+    return alpha * AK + product(solved * weights, np.column_stack([ones, s, F]), trans_b=True)

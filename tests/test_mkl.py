@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -203,6 +203,37 @@ def test_factorizes_once_per_kernel(monkeypatch):
     calls.clear()
     result, _ = run_mspc(sp.build_standard_bank(X), cfg)
     assert result.trace.iterations > 1 and len(calls) == result.trace.iterations
+
+
+def test_loop_arithmetic_follows_the_kernel_step(monkeypatch):
+    # iteration 2 runs on the kernel combined after iteration 1, so its
+    # graph step and all three objectives must use that kernel, including
+    # the fit terms of the graph carried over from iteration 1
+    steps = []
+
+    def recording(Z):
+        steps.append(np.array(Z))
+        return sp.project_nonneg(Z)
+
+    monkeypatch.setattr(spc_module, "project_nonneg", recording)
+    rng = np.random.default_rng(10)
+    n = 24
+    bank = random_bank(rng, n, 4)
+    cfg = sp.SpcConfig(alpha=1.0, beta=2.0, gamma=0.8, clusters=3, max_iters=1, rel_tol=1e-14)
+    first, state = run_mspc(bank, cfg)
+    second, _ = run_mspc(bank, replace(cfg, max_iters=2))
+    assert second.trace.iterations == 2 and len(steps) == 3
+    H = state.combined.values
+    F, t = second.embedding, second.trace
+    D = ((F[:, None, :] - F[None, :, :]) ** 2).sum(axis=2)
+    expect = sp.update_graph_column(sp.spd_factorize(H + 2 * cfg.gamma * np.eye(n)), H, D, cfg)
+    assert np.linalg.norm(steps[-1] - expect) <= 1e-12 * np.linalg.norm(expect)
+    for got, Z in (
+        (t.objective_after_embedding[1], first.graph),
+        (t.objective_after_graph[1], steps[-1]),
+        (t.objective[1], second.graph),
+    ):
+        assert got == pytest.approx(sp.objective(H, Z, F, cfg), rel=1e-10, abs=0)
 
 
 def test_identical_kernels_get_uniform_weights():

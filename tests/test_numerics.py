@@ -1,9 +1,16 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
+import spclust.mkl
+import spclust.numerics
+import spclust.spc
 from spclust.numerics import (
     FactorizationError,
     check_finite,
+    product,
     spd_factorize,
     spd_solve,
     symmetric_eigen,
@@ -47,6 +54,38 @@ def test_eigen_deterministic():
     e1, e2 = symmetric_eigen(A), symmetric_eigen(A.copy())
     assert np.array_equal(e1.values, e2.values)
     assert np.array_equal(e1.vectors, e2.vectors)
+
+
+def test_bottom_eigenpairs_match_full_spectrum():
+    rng = np.random.default_rng(4)
+    n = 30
+    B = rng.standard_normal((n, n))
+    A = B + B.T
+    full = symmetric_eigen(A)
+    assert full.values.shape == (n,) and full.vectors.shape == (n, n)
+    for count in (1, 3, 7, n - 1):
+        part = symmetric_eigen(A, count)
+        assert part.values.shape == (count,) and part.vectors.shape == (n, count)
+        assert np.allclose(part.values, full.values[:count], rtol=0, atol=1e-12)
+        # the spanned subspace, not the signs of the vectors, is determined
+        want = full.vectors[:, :count] @ full.vectors[:, :count].T
+        assert np.allclose(part.vectors @ part.vectors.T, want, rtol=0, atol=1e-10)
+    # a count of at least the order falls back to the full spectrum
+    for count in (n, n + 5):
+        assert np.array_equal(symmetric_eigen(A, count).values, full.values)
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match="count"):
+            symmetric_eigen(A, bad)
+
+
+def test_product_matches_matmul():
+    rng = np.random.default_rng(5)
+    a, b, c = rng.standard_normal((3, 5)), rng.standard_normal((5, 4)), rng.standard_normal((4, 5))
+    assert np.allclose(product(a, b), a @ b, rtol=0, atol=1e-13)
+    assert np.allclose(product(a, c, trans_b=True), a @ c.T, rtol=0, atol=1e-13)
+    # column-major and strided operands give the same product
+    assert np.allclose(product(np.asfortranarray(a), b[:, ::2]), a @ b[:, ::2], rtol=0, atol=1e-13)
+    assert product(a, b).flags.c_contiguous
 
 
 def test_symmetrize_returns_average():
@@ -105,3 +144,21 @@ def test_spd_solve_checks_dimension():
     f = spd_factorize(np.eye(4))
     with pytest.raises(ValueError, match="leading dimension"):
         spd_solve(f, np.ones(3))
+
+
+def test_solver_code_makes_no_numpy_blas_call():
+    # numpy and scipy each load their own OpenBLAS; a numpy BLAS call in the
+    # loop leaves numpy's worker spinning and roughly doubles the next scipy
+    # eigensolve, so the solver paths use scipy only. spc.objective is the
+    # reference implementation and is not called by the loop.
+    numpy_blas = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
+    for module in (spclust.numerics, spclust.spc, spclust.mkl):
+        tree = ast.parse(inspect.getsource(module))
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name == "objective":
+                continue
+            where = (module.__name__, fn.name)
+            for node in ast.walk(fn):
+                assert not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)), where
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    assert not (node.value.id == "np" and node.attr in numpy_blas), where

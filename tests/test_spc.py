@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import spclust as sp
+import spclust.spc as spc_module
 from spclust.spc import init_graph
 
 PATH3_LAPLACIAN = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
@@ -69,13 +72,6 @@ def test_embedding_is_orthonormal_and_spans_bottom_spectrum():
         assert np.sum((L @ F) * F) == pytest.approx(w[:c].sum(), abs=1e-8)
     with pytest.raises(ValueError, match="eigenvectors"):
         sp.update_embedding(L, 16)
-
-
-def test_embedding_distances():
-    F = np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]])
-    d = sp.embedding_distances(F, 0)
-    assert np.allclose(d, [0.0, 25.0, 2.0])
-    assert sp.embedding_distances(F, 1)[1] == 0.0
 
 
 # --- closed-form graph step ----------------------------------------------------
@@ -295,6 +291,60 @@ def test_exact_minimization_steps_descend():
             if k > 0:
                 assert t.objective_after_embedding[k] <= t.objective[k - 1] + 1e-8
             assert t.objective_after_graph[k] <= t.objective_after_embedding[k] + 1e-8
+
+
+def record_graph_steps(monkeypatch):
+    """Collect every unprojected graph iterate the solver loop projects."""
+    steps = []
+
+    def recording(Z):
+        steps.append(np.array(Z))
+        return sp.project_nonneg(Z)
+
+    monkeypatch.setattr(spc_module, "project_nonneg", recording)
+    return steps
+
+
+def assert_last_iteration_matches_reference(K, Z_prev, Z_unproj, result, cfg):
+    """The loop's last graph step and objectives against the reference functions."""
+    t, F, n = result.trace, result.embedding, K.shape[0]
+    cfg_k = replace(cfg, beta=t.beta[-1])
+    D = ((F[:, None, :] - F[None, :, :]) ** 2).sum(axis=2)
+    expect = sp.update_graph_column(sp.spd_factorize(K + 2 * cfg.gamma * np.eye(n)), K, D, cfg_k)
+    assert np.linalg.norm(Z_unproj - expect) <= 1e-12 * np.linalg.norm(expect)
+    for got, Z in (
+        (t.objective_after_embedding[-1], Z_prev),
+        (t.objective_after_graph[-1], Z_unproj),
+        (t.objective[-1], result.graph),
+    ):
+        assert got == pytest.approx(sp.objective(K, Z, F, cfg_k), rel=1e-10, abs=0)
+
+
+def test_loop_arithmetic_matches_reference_functions(monkeypatch):
+    # the loop's rank-(c+2) graph step and its identity-based objectives
+    # must reproduce update_graph_column and objective on the same iterates
+    steps = record_graph_steps(monkeypatch)
+    rng = np.random.default_rng(9)
+    for trial in range(4):
+        n = int(rng.integers(15, 40))
+        K = random_psd_kernel(rng, n)
+        cfg = sp.SpcConfig(
+            alpha=float(rng.uniform(1.0, 6.0)),
+            beta=float(rng.uniform(0.1, 10.0)),
+            gamma=float(rng.uniform(0.3, 2.0)),
+            clusters=int(rng.integers(2, 5)),
+            max_iters=1,
+            rel_tol=1e-14,
+            adapt_beta=bool(trial % 2),
+            seed=trial,
+        )
+        steps.clear()
+        first = sp.run_spc(K, cfg)
+        assert_last_iteration_matches_reference(K, init_graph(n, cfg.seed), steps[-1], first, cfg)
+        steps.clear()
+        second = sp.run_spc(K, replace(cfg, max_iters=2))
+        assert second.trace.iterations == 2 and len(steps) == 2
+        assert_last_iteration_matches_reference(K, first.graph, steps[-1], second, cfg)
 
 
 def test_solver_deterministic():
