@@ -204,10 +204,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except _CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except Exception as e:
+    except Exception as e:  # usage errors (_CliError) and run failures alike
         print(f"error: {e}", file=sys.stderr)
         return 1
 

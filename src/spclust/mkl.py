@@ -2,15 +2,16 @@
 
 A bank of r candidate kernels is blended into one combined kernel
 H = sum_i w_i K^i under the constraint sum_i sqrt(w_i) = 1. The solver runs
-the single-kernel alternating loop of :mod:`spclust.spc` against the current
-H; this module supplies only its kernel step, which after each projection
-refreshes the weights from the per-kernel fit costs
+the alternating loop of :mod:`spclust.spc` on the bank and its current
+weights. After each projection the loop computes the per-kernel fit costs
 
     h_i = tr(K^i) - 2 * alpha * tr(K^i Z) + tr(Z^T K^i Z)
 
-via the closed-form KKT solution w_i = (h_i * sum_j 1/h_j)^(-2) and
-recombines the bank. Kernels that explain the learned graph cheaply earn
-larger weights.
+with :func:`spclust.spc.kernel_costs` (re-exported here), from the same ZZ'
+product that gives the objective's fit term. This module supplies only the
+kernel step, which turns those costs into new weights through the
+closed-form KKT solution w_i = (h_i * sum_j 1/h_j)^(-2) and recombines the
+bank. Kernels that explain the learned graph cheaply earn larger weights.
 
 Weights start at the literal 1/r, which breaks the sqrt-sum constraint for
 r > 1; the first update restores feasibility and every later iterate keeps
@@ -24,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import KernelMatrix, kernel_values
-from .numerics import product
-from .spc import ClusteringResult, SpcConfig, alternate
+from .spc import ClusteringResult, SpcConfig, _check_bank, alternate, kernel_costs
 
 # tolerance on |sum(sqrt(w)) - 1| when validating caller-supplied weights
 FEASIBILITY_TOL = 1e-8
@@ -39,21 +39,6 @@ class MklState:
     combined: KernelMatrix
     costs: np.ndarray
     iterations: int
-
-
-def _check_bank(bank: list[KernelMatrix]) -> int:
-    if len(bank) == 0:
-        raise ValueError("kernel bank is empty")
-    shapes = [kernel_values(K).shape for K in bank]
-    if len(shapes[0]) != 2 or shapes[0][0] != shapes[0][1]:
-        raise ValueError(f"kernel 0 has shape {shapes[0]}, expected a square matrix")
-    n = shapes[0][0]
-    for i, shape in enumerate(shapes):
-        if shape != (n, n):
-            raise ValueError(
-                f"kernel {i} has shape {shape}, expected ({n}, {n}) to match kernel 0"
-            )
-    return n
 
 
 def combine_kernels(
@@ -83,25 +68,6 @@ def combine_kernels(
     return KernelMatrix(H)
 
 
-def kernel_costs(bank: list[KernelMatrix], Z: np.ndarray, alpha: float) -> np.ndarray:
-    """Per-kernel fit costs tr(K^i - 2*alpha*K^i Z + Z^T K^i Z).
-
-    Both traces are Frobenius inner products with matrices that do not
-    depend on the kernel, tr(K Z) = <K, Z'> and tr(Z'KZ) = <K, ZZ'>, so the
-    whole bank costs one n x n product (ZZ') and one pass per kernel.
-    """
-    n = _check_bank(bank)
-    Z = np.asarray(Z, dtype=float)
-    if Z.shape != (n, n):
-        raise ValueError(f"graph has shape {Z.shape}, kernels have order {n}")
-    M = product(Z, Z, trans_b=True) - 2.0 * alpha * Z.T
-    h = np.empty(len(bank))
-    for i, K in enumerate(bank):
-        vals = kernel_values(K)
-        h[i] = np.trace(vals) + float(np.sum(vals * M))
-    return h
-
-
 def update_weights(h: np.ndarray) -> np.ndarray:
     """Closed-form KKT weights w_i = (h_i * sum_j 1/h_j)^(-2).
 
@@ -126,13 +92,13 @@ def update_weights(h: np.ndarray) -> np.ndarray:
 def run_mspc(bank: list[KernelMatrix], cfg: SpcConfig) -> tuple[ClusteringResult, MklState]:
     """Alternating solver over a kernel bank with learned kernel weights.
 
-    Runs the loop of :func:`spclust.spc.alternate` on the combined kernel,
-    starting from the literal 1/r weights. After each projection the kernel
-    step refreshes the costs and weights from the new graph and combines the
-    bank into the next iteration's kernel. Stops like the single-kernel
-    solver: relative Frobenius change of Z below cfg.rel_tol, or
-    cfg.max_iters. The returned state holds the last step's weights, costs
-    and combined kernel.
+    Runs the loop of :func:`spclust.spc.alternate` on the bank, starting
+    from the literal 1/r weights. After each projection the kernel step
+    takes the loop's fit costs of the new graph, refreshes the weights from
+    them and combines the bank into the next iteration's kernel. Stops like
+    the single-kernel solver: relative Frobenius change of Z below
+    cfg.rel_tol, or cfg.max_iters. The returned state holds the last step's
+    weights, costs and combined kernel.
 
     A bank of one kernel reproduces the single-kernel run bit for bit given
     the same seed, since the lone weight is exactly 1.
@@ -148,12 +114,12 @@ def run_mspc(bank: list[KernelMatrix], cfg: SpcConfig) -> tuple[ClusteringResult
         iterations=0,
     )
 
-    def next_kernel(Z: np.ndarray) -> KernelMatrix:
-        state.costs = kernel_costs(bank, Z, cfg.alpha)
-        state.weights = update_weights(state.costs)
+    def kernel_step(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        state.costs = h
+        state.weights = update_weights(h)
         state.combined = combine_kernels(bank, state.weights)
-        return state.combined
+        return state.weights, state.combined.values
 
-    result = alternate(state.combined, cfg, next_kernel)
+    result = alternate(state.combined, cfg, bank, w, kernel_step)
     state.iterations = result.trace.iterations
     return result, state

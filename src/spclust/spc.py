@@ -18,13 +18,17 @@ Each outer iteration alternates:
 3. projection: Z <- max(Z, 0).
 
 The objective diagnostics come from exact identities rather than from
-:func:`objective`: the spectral term is 0.5*<Z, P>, tr(Z'KZ) = <K, ZZ'>, and
-the normal equations give K Z = alpha*K - (beta/2)*P - 2*gamma*Z for the
-unprojected graph step. One n x n product per iteration remains.
+:func:`objective`: the spectral term is 0.5*<Z, P>, the normal equations
+give K Z = alpha*K - (beta/2)*P - 2*gamma*Z for the unprojected graph step,
+and the rest of the objective at a projected graph is half the fit cost
+tr(K) + <K, ZZ' - 2*alpha*Z'> plus the ridge term. :func:`kernel_costs`
+computes that cost for every kernel of a bank from one ZZ' product, the one
+n x n product of an iteration.
 
-The loop lives here once, in :func:`alternate`. The multiple-kernel solver
-in :mod:`spclust.mkl` runs the same loop and supplies a kernel step that
-swaps in a newly weighted kernel after each projection.
+The loop lives here once, in :func:`alternate`. It runs on a weighted bank
+of kernels; SPC is one kernel with weight 1. The multiple-kernel solver in
+:mod:`spclust.mkl` supplies a kernel step that turns the costs of each
+projected graph into new weights and a newly combined kernel.
 """
 
 from __future__ import annotations
@@ -231,30 +235,32 @@ def run_spc(K, cfg: SpcConfig) -> ClusteringResult:
 def alternate(
     K,
     cfg: SpcConfig,
-    next_kernel: Optional[Callable[[np.ndarray], KernelMatrix | np.ndarray]] = None,
+    bank: Optional[list[KernelMatrix]] = None,
+    weights: Optional[np.ndarray] = None,
+    kernel_step: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None,
 ) -> ClusteringResult:
     """The alternating loop behind run_spc and run_mspc.
 
-    Without next_kernel, K stays fixed and is factorized once. With it,
-    next_kernel(Z) is called after every projection and returns the
-    (exactly symmetric) kernel for the following iteration, which is
-    factorized when that iteration starts; so a run factorizes once per
-    iteration and never for the kernel returned after the last one.
+    K = sum_i weights[i] * bank[i]; without a bank, K is one kernel with
+    weight 1. After every projection the loop takes the bank's fit costs h
+    from kernel_costs, and the objective's fit term is 0.5*<weights, h>.
+    Without kernel_step, K stays fixed and is factorized once. With it,
+    kernel_step(h) returns the weights and the (exactly symmetric) combined
+    kernel values of the following iteration, which is factorized when that
+    iteration starts, so never for the kernel returned after the last one.
     """
-    K = kernel_values(K)
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise ValueError(f"kernel must be square, got shape {K.shape}")
+    # the identities need K exactly symmetric; symmetrize also rejects non-square K
+    K = symmetrize(kernel_values(K))
     n = K.shape[0]
     if cfg.clusters > n:
         raise ValueError(f"clusters={cfg.clusters} exceeds the number of samples {n}")
-    # the objective identities need K exactly symmetric
-    K = symmetrize(K)
+    if bank is None:
+        bank, weights = [K], np.ones(1)
 
     factor = None
     Z = init_graph(n, cfg.seed)
     z_sq = _inner(Z, Z)
-    gram = product(Z, Z, trans_b=True)
-    smooth = _smooth_part(K, Z, gram, z_sq, cfg)
+    h = kernel_costs(bank, Z, cfg.alpha)
     beta = cfg.beta
     adjustments = 0
     trace = SpcTrace()
@@ -279,7 +285,7 @@ def alternate(
                 adjustments += 1
 
         s = np.sum(F * F, axis=1)
-        obj_f = smooth + beta * _spectral(Z, F, s)
+        obj_f = 0.5 * _inner(weights, h) + cfg.gamma * z_sq + beta * _spectral(Z, F, s)
         Z_unproj = _graph_step(factor, AK, F, s, cfg.alpha, beta)
         # K Z_unproj = alpha*K - (beta/2)*P - 2*gamma*Z_unproj turns the fit
         # and ridge terms into the preservation and spectral ones
@@ -287,9 +293,8 @@ def alternate(
         obj_z = 0.5 * (float(np.trace(K)) - cfg.alpha * _inner(K, Z_unproj) + beta * spectral)
         Z_new = project_nonneg(Z_unproj)
         new_sq = _inner(Z_new, Z_new)
-        gram = product(Z_new, Z_new, trans_b=True)
-        smooth = _smooth_part(K, Z_new, gram, new_sq, cfg)
-        obj = smooth + beta * _spectral(Z_new, F, s)
+        h = kernel_costs(bank, Z_new, cfg.alpha)
+        obj = 0.5 * _inner(weights, h) + cfg.gamma * new_sq + beta * _spectral(Z_new, F, s)
 
         diff = Z_new - Z
         diff_norm = math.sqrt(_inner(diff, diff))
@@ -299,10 +304,9 @@ def alternate(
             rel = 0.0 if diff_norm == 0 else float("inf")
         Z, z_sq = Z_new, new_sq
 
-        if next_kernel is not None:
-            K = kernel_values(next_kernel(Z))
+        if kernel_step is not None:
+            weights, K = kernel_step(h)
             factor = None
-            smooth = _smooth_part(K, Z, gram, z_sq, cfg)
 
         trace.objective.append(float(obj))
         trace.objective_after_embedding.append(float(obj_f))
@@ -332,15 +336,40 @@ def _inner(A: np.ndarray, B: np.ndarray) -> float:
     return float(np.sum(A * B))
 
 
-def _smooth_part(
-    K: np.ndarray, Z: np.ndarray, gram: np.ndarray, z_sq: float, cfg: SpcConfig
-) -> float:
-    """The objective at Z without its spectral term, for symmetric K.
+def _check_bank(bank: list[KernelMatrix]) -> int:
+    if len(bank) == 0:
+        raise ValueError("kernel bank is empty")
+    shapes = [kernel_values(K).shape for K in bank]
+    if len(shapes[0]) != 2 or shapes[0][0] != shapes[0][1]:
+        raise ValueError(f"kernel 0 has shape {shapes[0]}, expected a square matrix")
+    n = shapes[0][0]
+    for i, shape in enumerate(shapes):
+        if shape != (n, n):
+            raise ValueError(
+                f"kernel {i} has shape {shape}, expected ({n}, {n}) to match kernel 0"
+            )
+    return n
 
-    gram = Z Z' and z_sq = ||Z||_F^2; tr(Z'KZ) = <K, gram> and tr(KZ) = <K, Z>.
+
+def kernel_costs(bank: list[KernelMatrix], Z: np.ndarray, alpha: float) -> np.ndarray:
+    """Per-kernel fit costs h_i = tr(K^i - 2*alpha*K^i Z + Z^T K^i Z).
+
+    Both traces are Frobenius inner products with matrices that do not
+    depend on the kernel, tr(K Z) = <K, Z'> and tr(Z'KZ) = <K, ZZ'>, so the
+    whole bank costs one n x n product (ZZ') and one pass per kernel. The
+    cost is linear in K, so sum_i w_i h_i is the cost of sum_i w_i K^i.
     """
-    fit = 0.5 * (float(np.trace(K)) + _inner(K, gram))
-    return fit - cfg.alpha * _inner(K, Z) + cfg.gamma * z_sq
+    n = _check_bank(bank)
+    Z = np.asarray(Z, dtype=float)
+    if Z.shape != (n, n):
+        raise ValueError(f"graph has shape {Z.shape}, kernels have order {n}")
+    M = product(Z, Z, trans_b=True)
+    M -= 2.0 * alpha * Z.T
+    h = np.empty(len(bank))
+    for i, K in enumerate(bank):
+        vals = kernel_values(K)
+        h[i] = np.trace(vals) + _inner(vals, M)
+    return h
 
 
 def _spectral(Z: np.ndarray, F: np.ndarray, s: np.ndarray) -> float:

@@ -228,7 +228,11 @@ def resolve_dataset(source: str) -> Dataset:
             key, _, raw = pair.partition("=")
             if key not in opts:
                 raise ValueError(f"unknown moons option {key!r}; choose from n, noise, seed")
-            opts[key] = float(raw) if key == "noise" else int(raw)
+            try:
+                opts[key] = float(raw) if key == "noise" else int(raw)
+            except ValueError:
+                kind = "a number" if key == "noise" else "an integer"
+                raise ValueError(f"moons option {key!r} must be {kind}, got {raw!r}") from None
         return generate_two_moons(opts["n"], noise_sigma=opts["noise"], seed=opts["seed"])
     raise ValueError(
         f"dataset source {source!r} not understood; use 'file:PATH' or 'moons:n=...,noise=...,seed=...'"
@@ -314,6 +318,10 @@ class ExperimentConfig:
             raise ValueError(
                 f"unsupported report version {self.report_version!r}; this build writes {REPORT_VERSION}"
             )
+        if self.mode == "spc" and self.kernel == "bank":
+            raise ValueError(
+                "mode 'spc' runs on a single kernel; pick gaussian:t, poly:a,b, or linear"
+            )
         if self.source.startswith("file:"):
             path = self.source[len("file:") :]
             if not os.path.exists(path):
@@ -333,10 +341,6 @@ class ExperimentConfig:
         )
 
     @classmethod
-    def field_names(cls) -> tuple[str, ...]:
-        return tuple(f.name for f in dataclass_fields(cls))
-
-    @classmethod
     def from_sources(cls, config_path: Optional[str], overrides: dict) -> "ExperimentConfig":
         """Merge a JSON config file (optional) with explicit overrides."""
         settings: dict = {}
@@ -348,10 +352,15 @@ class ExperimentConfig:
                     raise ValueError(f"{config_path}: not valid JSON ({e})") from None
             if not isinstance(raw, dict):
                 raise ValueError(f"{config_path}: config must be a JSON object")
-            known = cls.field_names()
-            for key in raw:
-                if key not in known:
+            types = {f.name: f.type for f in dataclass_fields(cls)}
+            accepted = {"float": (int, float), "int": int, "bool": bool, "str": str}
+            for key, value in raw.items():
+                if key not in types:
                     raise ValueError(f"{config_path}: unknown config key {key!r}")
+                kind = types[key]
+                # bool is a subclass of int, so it is told apart explicitly
+                if not isinstance(value, accepted[kind]) or isinstance(value, bool) != (kind == "bool"):
+                    raise ValueError(f"{config_path}: config key {key!r} must be {kind}, got {value!r}")
             settings.update(raw)
         settings.update({k: v for k, v in overrides.items() if v is not None})
         if "source" not in settings:
@@ -491,10 +500,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     bank = build_kernel_choice(X, cfg.kernel)
     solver_cfg = cfg.solver_config()
     if cfg.mode == "spc":
-        if len(bank) != 1:
-            raise ValueError(
-                "mode 'spc' runs on a single kernel; pick gaussian:t, poly:a,b, or linear"
-            )
         result = run_spc(bank[0], solver_cfg)
         weights = None
     else:

@@ -1,3 +1,4 @@
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -188,21 +189,36 @@ def test_single_kernel_bank_reproduces_plain_solver():
 
 def test_factorizes_once_per_kernel(monkeypatch):
     # a fixed kernel is factorized once; a bank's kernel changes every
-    # iteration, and the one combined after the last iteration is never used
-    calls = []
+    # iteration, and the one combined after the last iteration is never used.
+    # Both solvers form ZZ' once for the initial graph and once per
+    # projected graph: the objective's fit term and the kernel weights share it.
+    calls, grams = [], []
+    product = sp.numerics.product
 
     def counting_factorize(A):
         calls.append(A.shape)
         return sp.spd_factorize(A)
 
+    def counting_product(a, b, trans_b=False):
+        if a is b and trans_b and a.shape[0] == a.shape[1]:
+            grams.append(a.shape)
+        return product(a, b, trans_b)
+
     monkeypatch.setattr(spc_module, "spd_factorize", counting_factorize)
+    # every module that calls product, wherever the Gram product lives
+    for name, module in list(sys.modules.items()):
+        if name.startswith("spclust.") and getattr(module, "product", None) is product:
+            monkeypatch.setattr(module, "product", counting_product)
     X = blob_dataset()
     cfg = sp.SpcConfig(alpha=1.0, beta=0.5, gamma=3.0, clusters=2, adapt_beta=True, seed=0)
     result = sp.run_spc(sp.gaussian_kernel(X, 1.0), cfg)
     assert result.trace.iterations > 1 and len(calls) == 1
+    assert len(grams) == result.trace.iterations + 1
     calls.clear()
+    grams.clear()
     result, _ = run_mspc(sp.build_standard_bank(X), cfg)
     assert result.trace.iterations > 1 and len(calls) == result.trace.iterations
+    assert len(grams) == result.trace.iterations + 1
 
 
 def test_loop_arithmetic_follows_the_kernel_step(monkeypatch):

@@ -149,6 +149,10 @@ def test_resolve_dataset_sources(tmp_path):
         resolve_dataset("file:/no/such/file.csv")
     with pytest.raises(ValueError, match="unknown"):
         resolve_dataset("moons:radius=2")
+    with pytest.raises(ValueError, match="'n' must be an integer, got 'abc'"):
+        resolve_dataset("moons:n=abc")
+    with pytest.raises(ValueError, match="'noise' must be a number, got 'x'"):
+        resolve_dataset("moons:noise=x")
     with pytest.raises(ValueError, match="source"):
         resolve_dataset("blobs:n=4")
 
@@ -189,6 +193,26 @@ def test_config_from_json_with_overrides(tmp_path):
     assert cfg.alpha == 4.0  # flag wins
     assert cfg.clusters == 3
     assert cfg.source == "moons:n=20"
+
+
+def test_config_json_values_must_match_field_types(tmp_path):
+    cfg_path = str(tmp_path / "cfg.json")
+    for entry, message in (
+        ('"adapt_beta": "false"', "'adapt_beta' must be bool, got 'false'"),
+        ('"max_iters": 2.5', "'max_iters' must be int, got 2.5"),
+        ('"alpha": "4"', "'alpha' must be float, got '4'"),
+        ('"seed": true', "'seed' must be int, got True"),
+        ('"alpha": false', "'alpha' must be float, got False"),
+        ('"kernel": 3', "'kernel' must be str, got 3"),
+    ):
+        with open(cfg_path, "w") as fh:
+            fh.write('{"source": "moons", %s}' % entry)
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_sources(cfg_path, {})
+    with open(cfg_path, "w") as fh:
+        fh.write('{"source": "moons", "alpha": 4, "adapt_beta": true, "max_iters": 7}')
+    cfg = ExperimentConfig.from_sources(cfg_path, {})
+    assert (cfg.alpha, cfg.adapt_beta, cfg.max_iters) == (4, True, 7)
 
 
 def test_config_errors(tmp_path):
@@ -290,6 +314,9 @@ def test_run_experiment_writes_report_labels_graph(tmp_path):
 def test_run_experiment_requires_single_kernel_for_spc(tmp_path):
     with pytest.raises(ValueError, match="single kernel"):
         sp.run_experiment(run_cfg(tmp_path, kernel="bank"))
+    # rejected by validate(), before any data is loaded or kernel built
+    with pytest.raises(ValueError, match="single kernel"):
+        run_cfg(tmp_path, kernel="bank", source="file:/no/such/file.csv").validate()
 
 
 def test_metrics_absent_without_ground_truth(tmp_path):
