@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from .metrics import Partition, accuracy, nmi, purity
 from .workbench import (
@@ -43,8 +44,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "data",
+        "source",
         nargs="?",
+        type=_source_string,
+        metavar="data",
         help="dense matrix file (columns are samples), or a source string like moons:n=300",
     )
     p.add_argument("--config", metavar="PATH", help="JSON config file; flags override its values")
@@ -73,43 +76,18 @@ def _source_string(data: str) -> str:
     return f"file:{data}"
 
 
-def _run_solver(args, mode: str) -> int:
-    overrides = {
-        key: getattr(args, key)
-        for key in (
-            "kernel",
-            "alpha",
-            "beta",
-            "gamma",
-            "clusters",
-            "max_iters",
-            "rel_tol",
-            "adapt_beta",
-            "seed",
-            "out",
-        )
-    }
-    overrides["mode"] = mode
-    if args.data is not None:
-        overrides["source"] = _source_string(args.data)
+def _run_solver(args) -> int:
+    overrides = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
     cfg = ExperimentConfig.from_sources(args.config, overrides)
     report = run_experiment(cfg)
 
     state = "converged" if report.converged else "did not converge"
-    print(f"{mode}: {state} after {report.iterations} iterations, {report.components} components")
+    print(f"{cfg.mode}: {state} after {report.iterations} iterations, {report.components} components")
     if report.metrics is not None:
         for key in ("accuracy", "nmi", "purity"):
             print(f"{key} = {report.metrics[key]:.6f}")
     print(f"report: {os.path.join(cfg.out, 'report.txt')}")
     return 0 if report.converged else 2
-
-
-def _cmd_spc(args) -> int:
-    return _run_solver(args, "spc")
-
-
-def _cmd_mspc(args) -> int:
-    return _run_solver(args, "mspc")
 
 
 def _cmd_gen_moons(args) -> int:
@@ -179,11 +157,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("spc", help="cluster with a single kernel")
     _add_solver_flags(p)
-    p.set_defaults(handler=_cmd_spc)
+    p.set_defaults(handler=_run_solver, mode="spc")
 
     p = sub.add_parser("mspc", help="cluster with a kernel bank and learned weights")
     _add_solver_flags(p)
-    p.set_defaults(handler=_cmd_mspc)
+    p.set_defaults(handler=_run_solver, mode="mspc")
 
     p = sub.add_parser("eval", help="score predicted labels against ground truth")
     p.add_argument("pred", help="predicted labels file (one integer per line)")

@@ -34,8 +34,9 @@ projected graph into new weights and a newly combined kernel.
 from __future__ import annotations
 
 import math
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,6 +44,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
 from .kernels import KernelMatrix, kernel_values
+from .metrics import Partition
 from .numerics import (
     SpdFactorization,
     product,
@@ -58,6 +60,23 @@ ZERO_EIG_TOL = 1e-8
 # adaptive beta stops after this many doublings/halvings
 MAX_BETA_ADJUSTMENTS = 30
 
+# values each field annotation accepts; a bool never counts as a number
+_FIELD_KINDS = {"float": numbers.Real, "int": numbers.Integral, "bool": bool, "str": str}
+
+
+def _check_field_types(config) -> None:
+    """Check every field of a config dataclass against its annotation.
+
+    float fields take any real number and are stored as float, int fields
+    take any integer, bool and str fields only bool and str.
+    """
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if not isinstance(value, _FIELD_KINDS[f.type]) or isinstance(value, bool) != (f.type == "bool"):
+            raise ValueError(f"config field {f.name!r} must be {f.type}, got {value!r}")
+        if f.type == "float":
+            object.__setattr__(config, f.name, float(value))
+
 
 @dataclass(frozen=True)
 class SpcConfig:
@@ -66,6 +85,7 @@ class SpcConfig:
     alpha > 1 weights the similarity-preserving pull toward the kernel;
     alpha == 1 exactly disables it (the plain self-expressive variant).
     beta weights the spectral rank penalty, gamma the ridge term.
+    Types and ranges are checked at construction.
     """
 
     alpha: float
@@ -78,7 +98,8 @@ class SpcConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.alpha < 1.0:
+        _check_field_types(self)
+        if not self.alpha >= 1.0:
             raise ValueError(f"alpha must be >= 1 (got {self.alpha}); 1 disables similarity preservation")
         if not self.beta > 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
@@ -194,21 +215,13 @@ def extract_labels(Z: np.ndarray, threshold: Optional[float] = None) -> tuple[np
     Components are numbered by first-seen sample index.
     """
     Z = np.asarray(Z, dtype=float)
-    n = Z.shape[0]
     if threshold is None:
         threshold = ZERO_EIG_TOL * Z.max() if Z.size and Z.max() > 0 else 0.0
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     W = 0.5 * (Z + Z.T)
     count, raw = connected_components(csr_array(W > threshold), directed=False)
-    # renumber components in order of first appearance
-    remap: dict[int, int] = {}
-    labels = np.empty(n, dtype=int)
-    for i, r in enumerate(raw):
-        if r not in remap:
-            remap[r] = len(remap)
-        labels[i] = remap[r]
-    return labels, int(count)
+    return Partition.from_labels(raw).labels, int(count)
 
 
 def init_graph(n: int, seed: int) -> np.ndarray:

@@ -34,7 +34,7 @@ from .kernels import (
 )
 from .metrics import Partition, accuracy, nmi, purity
 from .mkl import run_mspc
-from .spc import SpcConfig, run_spc
+from .spc import SpcConfig, _check_field_types, run_spc
 
 REPORT_VERSION = "spc-report/1"
 
@@ -285,13 +285,15 @@ def kernel_label(K: KernelMatrix) -> str:
 # experiment configuration
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one run needs: data source, kernel choice, solver knobs.
 
     ``source`` and ``kernel`` take the same strings as resolve_dataset and
-    build_kernel_choice. Values may come from a JSON config file, with
-    command-line flags taking precedence.
+    build_kernel_choice; the solver fields are those of SpcConfig. Values
+    may come from a JSON config file, with command-line flags taking
+    precedence. Types, the mode, the mode/kernel pairing and the solver
+    ranges are checked at construction, whatever the values came from.
     """
 
     source: str
@@ -307,38 +309,21 @@ class ExperimentConfig:
     rel_tol: float = 1e-5
     adapt_beta: bool = False
     seed: int = 0
-    compute_metrics: bool = True
     out: str = "."
-    report_version: str = REPORT_VERSION
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        _check_field_types(self)
         if self.mode not in ("spc", "mspc"):
             raise ValueError(f"mode must be 'spc' or 'mspc', got {self.mode!r}")
-        if self.report_version != REPORT_VERSION:
-            raise ValueError(
-                f"unsupported report version {self.report_version!r}; this build writes {REPORT_VERSION}"
-            )
         if self.mode == "spc" and self.kernel == "bank":
             raise ValueError(
                 "mode 'spc' runs on a single kernel; pick gaussian:t, poly:a,b, or linear"
             )
-        if self.source.startswith("file:"):
-            path = self.source[len("file:") :]
-            if not os.path.exists(path):
-                raise FileNotFoundError(f"dataset file not found: {path}")
-        self.solver_config()  # range checks on the numeric fields
+        self.solver_config()  # range checks on the solver fields
 
     def solver_config(self) -> SpcConfig:
-        return SpcConfig(
-            alpha=self.alpha,
-            beta=self.beta,
-            gamma=self.gamma,
-            clusters=self.clusters,
-            max_iters=self.max_iters,
-            rel_tol=self.rel_tol,
-            adapt_beta=self.adapt_beta,
-            seed=self.seed,
-        )
+        """The SpcConfig made of this config's fields of the same names."""
+        return SpcConfig(**{f.name: getattr(self, f.name) for f in dataclass_fields(SpcConfig)})
 
     @classmethod
     def from_sources(cls, config_path: Optional[str], overrides: dict) -> "ExperimentConfig":
@@ -352,15 +337,10 @@ class ExperimentConfig:
                     raise ValueError(f"{config_path}: not valid JSON ({e})") from None
             if not isinstance(raw, dict):
                 raise ValueError(f"{config_path}: config must be a JSON object")
-            types = {f.name: f.type for f in dataclass_fields(cls)}
-            accepted = {"float": (int, float), "int": int, "bool": bool, "str": str}
-            for key, value in raw.items():
-                if key not in types:
+            names = {f.name for f in dataclass_fields(cls)}
+            for key in raw:
+                if key not in names:
                     raise ValueError(f"{config_path}: unknown config key {key!r}")
-                kind = types[key]
-                # bool is a subclass of int, so it is told apart explicitly
-                if not isinstance(value, accepted[kind]) or isinstance(value, bool) != (kind == "bool"):
-                    raise ValueError(f"{config_path}: config key {key!r} must be {kind}, got {value!r}")
             settings.update(raw)
         settings.update({k: v for k, v in overrides.items() if v is not None})
         if "source" not in settings:
@@ -420,7 +400,7 @@ class RunReport:
         if not lines or lines[0] != REPORT_VERSION:
             head = lines[0] if lines else "<empty>"
             raise ValueError(f"unsupported report format {head!r}; expected {REPORT_VERSION}")
-        sections: dict[str, list[tuple[str, str]]] = {}
+        sections: dict[str, list[tuple[int, str, str]]] = {}
         current: Optional[str] = None
         for lineno, line in enumerate(lines[1:], start=2):
             if not line.strip():
@@ -434,33 +414,51 @@ class RunReport:
             if current is None or " = " not in line:
                 raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
             key, _, value = line.partition(" = ")
-            sections[current].append((key, value))
+            sections[current].append((lineno, key, value))
         for required in ("config", "result"):
             if required not in sections:
                 raise ValueError(f"report is missing its [{required}] section")
-        result = dict(sections["result"])
+        result = {entry[1]: entry for entry in sections["result"]}
+        for key in ("converged", "components", "iterations"):
+            if key not in result:
+                raise ValueError(f"report [result] is missing {key!r}")
         metrics = None
         if "metrics" in sections:
-            metrics = {k: float(v) for k, v in sections["metrics"]}
+            metrics = {entry[1]: _report_value(entry, float) for entry in sections["metrics"]}
         weights = None
         if "weights" in sections:
-            weights = [float(v) for _, v in sections["weights"]]
-        objective_trace, rel_change_trace = [], []
-        for _, value in sections.get("trace", []):
-            obj, rel = value.split()
-            objective_trace.append(float(obj))
-            rel_change_trace.append(float(rel))
+            weights = [_report_value(entry, float) for entry in sections["weights"]]
+        trace = [_report_value(entry, _trace_pair) for entry in sections.get("trace", [])]
         return cls(
-            config=dict(sections["config"]),
-            converged=result["converged"] == "yes",
-            components=int(result["components"]),
-            iterations=int(result["iterations"]),
+            config={key: value for _, key, value in sections["config"]},
+            converged=_report_value(result["converged"], _yes_no),
+            components=_report_value(result["components"], int),
+            iterations=_report_value(result["iterations"], int),
             metrics=metrics,
             weights=weights,
-            objective_trace=objective_trace,
-            rel_change_trace=rel_change_trace,
-            timings={k: float(v) for k, v in sections.get("timings", [])},
+            objective_trace=[obj for obj, _ in trace],
+            rel_change_trace=[rel for _, rel in trace],
+            timings={entry[1]: _report_value(entry, float) for entry in sections.get("timings", [])},
         )
+
+
+def _report_value(entry: tuple[int, str, str], convert):
+    lineno, key, value = entry
+    try:
+        return convert(value)
+    except ValueError:
+        raise ValueError(f"line {lineno}: bad value for {key!r}: {value!r}") from None
+
+
+def _yes_no(value: str) -> bool:
+    if value not in ("yes", "no"):
+        raise ValueError(value)
+    return value == "yes"
+
+
+def _trace_pair(value: str) -> tuple[float, float]:
+    obj, rel = value.split()
+    return float(obj), float(rel)
 
 
 def report_determinism_view(text: str) -> str:
@@ -494,7 +492,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     matrix) into cfg.out. Metrics are computed only when the dataset
     carries ground-truth labels.
     """
-    cfg.validate()
     t0 = time.perf_counter()
     X = resolve_dataset(cfg.source)
     bank = build_kernel_choice(X, cfg.kernel)
@@ -507,7 +504,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         weights = [float(w) for w in state.weights]
 
     metrics = None
-    if cfg.compute_metrics and X.labels is not None:
+    if X.labels is not None:
         pred = Partition.from_labels(result.labels)
         truth = Partition.from_labels(X.labels)
         metrics = {

@@ -26,8 +26,9 @@ def random_psd_kernel(rng, n):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="alpha"):
-        small_config(alpha=0.5)
+    for alpha in (0.5, float("nan")):
+        with pytest.raises(ValueError, match="alpha"):
+            small_config(alpha=alpha)
     with pytest.raises(ValueError, match="beta"):
         small_config(beta=0.0)
     with pytest.raises(ValueError, match="gamma"):
@@ -38,8 +39,15 @@ def test_config_validation():
         small_config(max_iters=0)
     with pytest.raises(ValueError, match="rel_tol"):
         small_config(rel_tol=0.0)
+    for field, value in (("max_iters", 2.5), ("adapt_beta", "false"), ("alpha", "4"), ("clusters", True)):
+        with pytest.raises(ValueError, match=field):
+            small_config(**{field: value})
     # alpha = 1 is the no-preservation variant and is allowed
     small_config(alpha=1.0)
+    # numpy scalars pass, and float fields are stored as float
+    cfg = small_config(alpha=np.float64(3.0), gamma=2, clusters=np.int64(3), max_iters=np.int64(5))
+    assert (cfg.alpha, cfg.gamma, cfg.clusters, cfg.max_iters) == (3.0, 2.0, 3, 5)
+    assert type(cfg.gamma) is float
 
 
 # --- laplacian and embedding --------------------------------------------------

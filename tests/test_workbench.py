@@ -1,12 +1,15 @@
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
 import spclust as sp
+import spclust.workbench as workbench
 from spclust.workbench import (
     ExperimentConfig,
     RunReport,
+    _echo_config,
     build_kernel_choice,
     companion_labels_path,
     format_matrix,
@@ -224,9 +227,26 @@ def test_config_errors(tmp_path):
     with pytest.raises(ValueError, match="source"):
         ExperimentConfig.from_sources(None, {"alpha": 2.0})
     with pytest.raises(ValueError, match="mode"):
-        ExperimentConfig(source="moons", mode="fast").validate()
-    with pytest.raises(ValueError, match="version"):
-        ExperimentConfig(source="moons", report_version="spc-report/9").validate()
+        ExperimentConfig(source="moons", mode="fast")
+    with pytest.raises(ValueError, match="max_iters"):
+        ExperimentConfig(source="moons", max_iters=2.5)
+    with pytest.raises(ValueError, match="gamma"):
+        ExperimentConfig(source="moons", gamma=0.0)
+
+
+def test_config_fields_follow_solver_config(tmp_path):
+    solver = {f.name: f.type for f in dataclasses.fields(sp.SpcConfig)}
+    experiment = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+    assert solver.items() <= experiment.items()
+    # an integer JSON value for a float field echoes like the float it stands for
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w") as fh:
+        fh.write('{"source": "moons", "alpha": 4}')
+    from_json = ExperimentConfig.from_sources(cfg_path, {})
+    from_flag = ExperimentConfig.from_sources(None, {"source": "moons", "alpha": 4.0})
+    assert from_json == from_flag
+    assert _echo_config(from_json) == _echo_config(from_flag)
+    assert _echo_config(from_json)["alpha"] == "4.0"
 
 
 # --- reports -----------------------------------------------------------------------------------
@@ -268,6 +288,16 @@ def test_report_parse_errors():
     text = rep.to_text() + "[config]\n"
     with pytest.raises(ValueError, match="duplicate"):
         RunReport.from_text(text)
+    text = rep.to_text()
+    for old, new, message in (
+        ("converged = yes\n", "", "missing 'converged'"),
+        ("converged = yes", "converged = maybe", "line 6: bad value for 'converged'"),
+        ("components = 2", "components = two", "line 7: bad value for 'components'"),
+        ("i0001 = 10.5 1.0", "i0001 = 10.5", "line 17: bad value for 'i0001'"),
+    ):
+        assert old in text
+        with pytest.raises(ValueError, match=message):
+            RunReport.from_text(text.replace(old, new))
 
 
 def test_determinism_view_strips_timings():
@@ -311,12 +341,15 @@ def test_run_experiment_writes_report_labels_graph(tmp_path):
     assert parsed.metrics == rep.metrics
 
 
-def test_run_experiment_requires_single_kernel_for_spc(tmp_path):
+def test_run_experiment_requires_single_kernel_for_spc(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="single kernel"):
         sp.run_experiment(run_cfg(tmp_path, kernel="bank"))
-    # rejected by validate(), before any data is loaded or kernel built
+    # rejected when the config is built, before any data is loaded or kernel built
     with pytest.raises(ValueError, match="single kernel"):
-        run_cfg(tmp_path, kernel="bank", source="file:/no/such/file.csv").validate()
+        run_cfg(tmp_path, kernel="bank", source="file:/no/such/file.csv")
+    monkeypatch.setattr(workbench, "build_kernel_choice", None)
+    with pytest.raises(FileNotFoundError, match="/no/such/file.csv"):
+        sp.run_experiment(run_cfg(tmp_path, source="file:/no/such/file.csv"))
 
 
 def test_metrics_absent_without_ground_truth(tmp_path):
