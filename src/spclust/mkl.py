@@ -8,7 +8,7 @@ weights. After each projection the loop computes the per-kernel fit costs
     h_i = tr(K^i) - 2 * alpha * tr(K^i Z) + tr(Z^T K^i Z)
 
 with :func:`spclust.spc.kernel_costs` (re-exported here), from the same ZZ'
-product that gives the objective's fit term. This module supplies only the
+triangle that gives the objective's fit term. This module supplies only the
 kernel step, which turns those costs into new weights through the
 closed-form KKT solution w_i = (h_i * sum_j 1/h_j)^(-2) and recombines the
 bank. Kernels that explain the learned graph cheaply earn larger weights.
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import KernelMatrix, kernel_values
+from .numerics import symmetrize
 from .spc import ClusteringResult, SpcConfig, _check_bank, alternate, kernel_costs
 
 # tolerance on |sum(sqrt(w)) - 1| when validating caller-supplied weights
@@ -101,9 +102,12 @@ def run_mspc(bank: list[KernelMatrix], cfg: SpcConfig) -> tuple[ClusteringResult
     weights, costs and combined kernel.
 
     A bank of one kernel reproduces the single-kernel run bit for bit given
-    the same seed, since the lone weight is exactly 1.
+    the same seed, since the lone weight is exactly 1. Bare arrays in the
+    bank are symmetrized once here, with a warning if they were not nearly
+    symmetric, because kernel_costs needs exactly symmetric kernels.
     """
     _check_bank(bank)
+    bank = [K if isinstance(K, KernelMatrix) else KernelMatrix(symmetrize(K)) for K in bank]
     r = len(bank)
     # literal published initialization; infeasible for r > 1 until first update
     w = np.full(r, 1.0 / r)

@@ -1,19 +1,25 @@
 """Dense symmetric linear algebra used by the graph-learning solvers.
 
-Everything here works on plain float64 numpy arrays. Inputs that are meant
-to be symmetric are symmetrized on entry, so downstream code can rely on an
-exactly symmetric matrix and a real spectrum.
+Everything here works on plain float64 numpy arrays. :func:`symmetrize`
+turns an input into an exactly symmetric matrix, warning when it was not
+nearly symmetric; the solvers call it once, on the kernel they are given.
+Past that boundary every matrix they factorize or decompose (the Laplacian,
+K + 2*gamma*I) is exactly symmetric by construction, so
+:func:`symmetric_eigen` and :func:`spd_factorize` read only the lower
+triangle, as LAPACK does, and never re-symmetrize.
 
 All BLAS and LAPACK work of the solvers goes through scipy: products through
-:func:`product` (scipy's ``dgemm``), factorizations and eigensolves through
-``scipy.linalg``, and Frobenius norms as ``sqrt(sum(x * x))``. numpy's ``@``,
-``np.dot`` and ``np.linalg`` are kept out of the solver loop. numpy and scipy
-each load their own OpenBLAS, and after a numpy BLAS call numpy's worker
-thread keeps spinning on a core for a while, so the next scipy LAPACK call
-competes with it. On a 2-core host, solving for the 3 bottom eigenpairs of
-an order-1000 Laplacian took 62 ms after a pause, 60 ms right after a scipy
-``dgemm``, 106 ms right after a numpy ``K @ Z`` and 139 ms right after a
-numpy ``np.linalg.norm`` (median of 10 each).
+:func:`product` (``dgemm``), the Gram triangle through :func:`gram_upper`
+(``dsyrk``, half the flops of ``dgemm``), the inverse of a factorized matrix
+through :func:`spd_inverse` (``dpotri``), factorizations and eigensolves
+through ``scipy.linalg``, and inner products through ``ddot``. numpy's
+``@``, ``np.dot`` and ``np.linalg`` are kept out of the solver loop. numpy
+and scipy each load their own OpenBLAS, and after a numpy BLAS call numpy's
+worker thread keeps spinning on a core for a while, so the next scipy LAPACK
+call competes with it. On a 2-core host, solving for the 3 bottom
+eigenpairs of an order-1000 Laplacian took 62 ms after a pause, 60 ms right
+after a scipy ``dgemm``, 106 ms right after a numpy ``K @ Z`` and 139 ms
+right after a numpy ``np.linalg.norm`` (median of 10 each).
 """
 
 from __future__ import annotations
@@ -24,8 +30,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import cho_solve, eigh
-from scipy.linalg.blas import dgemm
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.blas import dgemm, dsyrk
+from scipy.linalg.lapack import dpotrf, dpotri
 
 ASYMMETRY_WARN_TOL = 1e-8
 
@@ -72,12 +78,18 @@ def check_finite(A: np.ndarray, name: str = "matrix") -> None:
         raise ValueError(f"{name} has non-finite entry at index {idx}")
 
 
-def symmetrize(A: np.ndarray, warn_tol: float = ASYMMETRY_WARN_TOL) -> np.ndarray:
-    """Return (A + A.T) / 2, warning when the asymmetry is non-trivial."""
+def _square(A: np.ndarray) -> np.ndarray:
+    """A as a float array, checked to be a finite square matrix."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     check_finite(A)
+    return A
+
+
+def symmetrize(A: np.ndarray, warn_tol: float = ASYMMETRY_WARN_TOL) -> np.ndarray:
+    """Return (A + A.T) / 2, warning when the asymmetry is non-trivial."""
+    A = _square(A)
     asym = np.abs(A - A.T).max() if A.size else 0.0
     if asym > warn_tol:
         warnings.warn(
@@ -90,15 +102,14 @@ def symmetric_eigen(A: np.ndarray, count: Optional[int] = None) -> EigenSystem:
     """The count smallest eigenpairs of a symmetric matrix, eigenvalues ascending.
 
     Without count, or with count >= the order, the full spectrum is returned.
+    Only the lower triangle of A is read; the entries above the diagonal are
+    taken to mirror it.
     """
     if count is not None and count < 1:
         raise ValueError(f"eigenpair count must be >= 1, got {count}")
-    A = symmetrize(A)
+    A = _square(A)
     subset = None if count is None or count >= A.shape[0] else [0, count - 1]
-    # symmetrize returned a fresh, finite array: LAPACK may overwrite it unchecked
-    values, vectors = eigh(
-        A, subset_by_index=subset, driver="evr", overwrite_a=True, check_finite=False
-    )
+    values, vectors = eigh(A, lower=True, subset_by_index=subset, driver="evr", check_finite=False)
     return EigenSystem(values, vectors)
 
 
@@ -113,13 +124,26 @@ def product(a: np.ndarray, b: np.ndarray, trans_b: bool = False) -> np.ndarray:
     return dgemm(1.0, b.T, a.T, trans_a=trans_b).T
 
 
+def gram_upper(a: np.ndarray) -> np.ndarray:
+    """The upper triangle of a @ a.T, diagonal included, through scipy's dsyrk.
+
+    The symmetric product costs half the flops of dgemm because only one
+    triangle is formed; the entries below the diagonal are zero. The result
+    is row-major.
+    """
+    a = np.asarray(a, dtype=float)
+    # the lower triangle of the column-major result is the upper one of its transpose
+    return dsyrk(1.0, a.T, trans=1, lower=1).T
+
+
 def spd_factorize(A: np.ndarray) -> SpdFactorization:
     """Cholesky-factorize a symmetric positive definite matrix.
 
+    Only the lower triangle of A is read, as in :func:`symmetric_eigen`.
     Raises FactorizationError (carrying the pivot index) when A is not
     positive definite.
     """
-    A = symmetrize(A)
+    A = _square(A)
     factor, info = dpotrf(A, lower=1, clean=0, overwrite_a=0)
     if info > 0:
         raise FactorizationError(pivot=int(info) - 1)
@@ -137,3 +161,18 @@ def spd_solve(f: SpdFactorization, b: np.ndarray) -> np.ndarray:
         )
     check_finite(b, "right-hand side")
     return cho_solve((f.factor, True), b)
+
+
+def spd_inverse(f: SpdFactorization) -> np.ndarray:
+    """The inverse of the factorized matrix, from its Cholesky factor by dpotri.
+
+    LAPACK forms the lower triangle only; it is mirrored into a full, exactly
+    symmetric, row-major matrix.
+    """
+    inv, info = dpotri(f.factor, lower=1)
+    if info != 0:
+        raise ValueError(f"dpotri failed with info={info}")
+    # the column-major lower triangle is the row-major upper one; mirror it down
+    out = inv.T
+    np.copyto(out, out.T, where=np.tri(f.order, k=-1, dtype=bool))
+    return out

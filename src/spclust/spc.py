@@ -12,18 +12,22 @@ Each outer iteration alternates:
 2. graph step: every column of Z gets the closed-form minimizer of the
    ridge-regularized quadratic, A^{-1} (alpha*K - (beta/2)*P) with
    A = K + 2*gamma*I and P the squared embedding distances. P is
-   s 1' + 1 s' - 2 F F' with s = rowsum(F * F), so the step is alpha*A^{-1}K,
-   computed once per factorization of A, plus a rank-(c+2) update that needs
-   only an n x (c+2) solve per iteration;
+   s 1' + 1 s' - 2 F F' with s = rowsum(F * F), so the step is alpha*A^{-1}K
+   plus a rank-(c+2) update that needs only an n x (c+2) solve per
+   iteration. A^{-1}K = I - 2*gamma*A^{-1} is formed once per factorization
+   of A, from the inverse that the Cholesky factor gives (LAPACK dpotri);
 3. projection: Z <- max(Z, 0).
 
 The objective diagnostics come from exact identities rather than from
 :func:`objective`: the spectral term is 0.5*<Z, P>, the normal equations
 give K Z = alpha*K - (beta/2)*P - 2*gamma*Z for the unprojected graph step,
 and the rest of the objective at a projected graph is half the fit cost
-tr(K) + <K, ZZ' - 2*alpha*Z'> plus the ridge term. :func:`kernel_costs`
-computes that cost for every kernel of a bank from one ZZ' product, the one
-n x n product of an iteration.
+tr(K) + <K, ZZ' - 2*alpha*Z> plus the ridge term. :func:`kernel_costs`
+computes that cost for every kernel of a bank from one triangle of ZZ', the
+one n x n product of an iteration. Every identity needs K exactly
+symmetric: :func:`alternate` symmetrizes the kernel it is given once, and
+every later matrix (each combined kernel, A, the Laplacian, ZZ') is exactly
+symmetric by construction, so none is symmetrized again.
 
 The loop lives here once, in :func:`alternate`. It runs on a weighted bank
 of kernels; SPC is one kernel with weight 1. The multiple-kernel solver in
@@ -40,6 +44,7 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg.blas import ddot
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
@@ -47,8 +52,10 @@ from .kernels import KernelMatrix, kernel_values
 from .metrics import Partition
 from .numerics import (
     SpdFactorization,
+    gram_upper,
     product,
     spd_factorize,
+    spd_inverse,
     spd_solve,
     symmetric_eigen,
     symmetrize,
@@ -261,6 +268,9 @@ def alternate(
     kernel_step(h) returns the weights and the (exactly symmetric) combined
     kernel values of the following iteration, which is factorized when that
     iteration starts, so never for the kernel returned after the last one.
+    K is symmetrized here, once; the bank's kernels must already be exactly
+    symmetric (see kernel_costs). No n x n right-hand side is ever solved:
+    A^{-1}K comes from spd_inverse.
     """
     # the identities need K exactly symmetric; symmetrize also rejects non-square K
     K = symmetrize(kernel_values(K))
@@ -284,7 +294,9 @@ def alternate(
         tic = time.perf_counter()
         if factor is None:
             factor = spd_factorize(K + 2.0 * cfg.gamma * np.eye(n))
-            AK = spd_solve(factor, K)
+            AK = spd_inverse(factor)
+            AK *= -2.0 * cfg.gamma
+            AK.flat[:: n + 1] += 1.0
         eig = symmetric_eigen(build_laplacian(Z), cfg.clusters + 1)
         F = eig.vectors[:, : cfg.clusters]
         zero_eigs = int(np.count_nonzero(eig.values < ZERO_EIG_TOL))
@@ -345,8 +357,12 @@ def alternate(
 
 
 def _inner(A: np.ndarray, B: np.ndarray) -> float:
-    """Frobenius inner product <A, B>."""
-    return float(np.sum(A * B))
+    """Frobenius inner product <A, B> through ddot, with no temporary A * B.
+
+    Both operands must have the same shape; ravelling a C-contiguous array,
+    as every n x n operand in the loop is, makes no copy.
+    """
+    return float(ddot(np.ravel(A), np.ravel(B)))
 
 
 def _check_bank(bank: list[KernelMatrix]) -> int:
@@ -367,17 +383,24 @@ def _check_bank(bank: list[KernelMatrix]) -> int:
 def kernel_costs(bank: list[KernelMatrix], Z: np.ndarray, alpha: float) -> np.ndarray:
     """Per-kernel fit costs h_i = tr(K^i - 2*alpha*K^i Z + Z^T K^i Z).
 
-    Both traces are Frobenius inner products with matrices that do not
-    depend on the kernel, tr(K Z) = <K, Z'> and tr(Z'KZ) = <K, ZZ'>, so the
-    whole bank costs one n x n product (ZZ') and one pass per kernel. The
-    cost is linear in K, so sum_i w_i h_i is the cost of sum_i w_i K^i.
+    Every K^i must be exactly symmetric, as every KernelMatrix is; a bare
+    array is taken at its word. Then both traces are Frobenius inner
+    products with matrices that do not depend on the kernel: tr(K Z) =
+    <K, Z'> = <K, Z>, and tr(Z'KZ) = <K, ZZ'> = <K, 2*triu(ZZ') - diag(ZZ')>
+    because ZZ' is symmetric too. So h_i = tr(K^i) + <K^i, M> with
+    M = 2*triu(ZZ') - diag(ZZ') - 2*alpha*Z, and the whole bank costs one
+    triangle of ZZ' (dsyrk, half a product) and one ddot pass per kernel.
+    The cost is linear in K, so sum_i w_i h_i is the cost of sum_i w_i K^i.
     """
     n = _check_bank(bank)
     Z = np.asarray(Z, dtype=float)
     if Z.shape != (n, n):
         raise ValueError(f"graph has shape {Z.shape}, kernels have order {n}")
-    M = product(Z, Z, trans_b=True)
-    M -= 2.0 * alpha * Z.T
+    # 2*triu(ZZ') - diag(ZZ'): off-diagonal entries stand for both triangles
+    M = gram_upper(Z)
+    M *= 2.0
+    M.flat[:: n + 1] *= 0.5
+    M -= 2.0 * alpha * Z
     h = np.empty(len(bank))
     for i, K in enumerate(bank):
         vals = kernel_values(K)

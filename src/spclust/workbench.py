@@ -38,6 +38,9 @@ from .spc import SpcConfig, _check_field_types, run_spc
 
 REPORT_VERSION = "spc-report/1"
 
+# the [metrics] section holds exactly these keys, in this order
+REPORT_METRICS = ("accuracy", "nmi", "purity")
+
 SVG_WIDTH = 640
 SVG_HEIGHT = 480
 SVG_MARGIN = 40
@@ -377,7 +380,7 @@ class RunReport:
         lines.append(f"iterations = {self.iterations}")
         if self.metrics is not None:
             lines.append("[metrics]")
-            for key in ("accuracy", "nmi", "purity"):
+            for key in REPORT_METRICS:
                 lines.append(f"{key} = {self.metrics[key]:.6f}")
         if self.weights is not None:
             lines.append("[weights]")
@@ -425,6 +428,9 @@ class RunReport:
         metrics = None
         if "metrics" in sections:
             metrics = {entry[1]: _report_value(entry, float) for entry in sections["metrics"]}
+            for key in REPORT_METRICS:
+                if key not in metrics:
+                    raise ValueError(f"report [metrics] is missing {key!r}")
         weights = None
         if "weights" in sections:
             weights = [_report_value(entry, float) for entry in sections["weights"]]

@@ -96,6 +96,23 @@ def test_costs_match_naive_traces():
             assert h[i] == pytest.approx(naive, rel=1e-10)
 
 
+def test_asymmetric_bare_kernel_is_symmetrized_once():
+    # kernel_costs needs exactly symmetric kernels; run_mspc symmetrizes a
+    # bare array in the bank on entry, with the usual warning, and its costs
+    # are those of the symmetric part
+    rng = np.random.default_rng(11)
+    n = 12
+    bank = random_bank(rng, n, 2)
+    bare = bank[0].values + 0.01 * rng.standard_normal((n, n))
+    cfg = sp.SpcConfig(alpha=1.0, beta=0.5, gamma=3.0, clusters=2, max_iters=3)
+    with pytest.warns(UserWarning, match="asymmetry"):
+        result, state = run_mspc(bank + [bare], cfg)
+    Z = result.graph
+    for h, K in zip(state.costs, [K.values for K in bank] + [0.5 * (bare + bare.T)]):
+        naive = np.trace(K) - 2 * cfg.alpha * np.trace(K @ Z) + np.trace(Z.T @ K @ Z)
+        assert h == pytest.approx(naive, rel=1e-10)
+
+
 def test_weighted_costs_equal_combined_cost():
     # sum_i w_i h_i equals the cost of the combined kernel, exercised with
     # feasible random weights
@@ -190,35 +207,49 @@ def test_single_kernel_bank_reproduces_plain_solver():
 def test_factorizes_once_per_kernel(monkeypatch):
     # a fixed kernel is factorized once; a bank's kernel changes every
     # iteration, and the one combined after the last iteration is never used.
-    # Both solvers form ZZ' once for the initial graph and once per
-    # projected graph: the objective's fit term and the kernel weights share it.
-    calls, grams = [], []
-    product = sp.numerics.product
+    # Both solvers form the ZZ' triangle once for the initial graph and once
+    # per projected graph: the objective's fit term and the kernel weights
+    # share it. A^-1 K comes from the factor's inverse, so no n x n
+    # right-hand side is ever solved.
+    calls, grams, rhs = [], [], []
+    gram_upper, spd_solve = sp.numerics.gram_upper, sp.spd_solve
 
     def counting_factorize(A):
         calls.append(A.shape)
         return sp.spd_factorize(A)
 
-    def counting_product(a, b, trans_b=False):
-        if a is b and trans_b and a.shape[0] == a.shape[1]:
-            grams.append(a.shape)
-        return product(a, b, trans_b)
+    def counting_gram(a):
+        grams.append(a.shape)
+        return gram_upper(a)
+
+    def recording_solve(f, b):
+        rhs.append(np.shape(b))
+        return spd_solve(f, b)
 
     monkeypatch.setattr(spc_module, "spd_factorize", counting_factorize)
-    # every module that calls product, wherever the Gram product lives
+    # every module that binds these helpers, wherever the calls live
     for name, module in list(sys.modules.items()):
-        if name.startswith("spclust.") and getattr(module, "product", None) is product:
-            monkeypatch.setattr(module, "product", counting_product)
+        if name.startswith("spclust."):
+            for attr, fn, wrapper in (
+                ("gram_upper", gram_upper, counting_gram),
+                ("spd_solve", spd_solve, recording_solve),
+            ):
+                if getattr(module, attr, None) is fn:
+                    monkeypatch.setattr(module, attr, wrapper)
     X = blob_dataset()
+    n = X.n_samples
     cfg = sp.SpcConfig(alpha=1.0, beta=0.5, gamma=3.0, clusters=2, adapt_beta=True, seed=0)
     result = sp.run_spc(sp.gaussian_kernel(X, 1.0), cfg)
     assert result.trace.iterations > 1 and len(calls) == 1
-    assert len(grams) == result.trace.iterations + 1
+    assert grams == [(n, n)] * (result.trace.iterations + 1)
+    assert rhs and (n, n) not in rhs
     calls.clear()
     grams.clear()
+    rhs.clear()
     result, _ = run_mspc(sp.build_standard_bank(X), cfg)
     assert result.trace.iterations > 1 and len(calls) == result.trace.iterations
-    assert len(grams) == result.trace.iterations + 1
+    assert grams == [(n, n)] * (result.trace.iterations + 1)
+    assert rhs and (n, n) not in rhs
 
 
 def test_loop_arithmetic_follows_the_kernel_step(monkeypatch):

@@ -10,8 +10,10 @@ import spclust.spc
 from spclust.numerics import (
     FactorizationError,
     check_finite,
+    gram_upper,
     product,
     spd_factorize,
+    spd_inverse,
     spd_solve,
     symmetric_eigen,
     symmetrize,
@@ -86,6 +88,53 @@ def test_product_matches_matmul():
     # column-major and strided operands give the same product
     assert np.allclose(product(np.asfortranarray(a), b[:, ::2]), a @ b[:, ::2], rtol=0, atol=1e-13)
     assert product(a, b).flags.c_contiguous
+
+
+def test_gram_upper_is_the_upper_triangle_of_the_gram_matrix():
+    rng = np.random.default_rng(6)
+    for shape in ((1, 1), (6, 6), (5, 3), (3, 5)):
+        a = rng.standard_normal(shape)
+        G = gram_upper(a)
+        assert G.shape == (shape[0], shape[0]) and G.flags.c_contiguous
+        assert np.allclose(G, np.triu(a @ a.T), rtol=0, atol=1e-13)
+        assert np.array_equal(np.tril(G, -1), np.zeros_like(G))
+    # a column-major operand gives the same triangle
+    a = rng.standard_normal((7, 7))
+    assert np.array_equal(gram_upper(np.asfortranarray(a)), gram_upper(a))
+
+
+def test_spd_inverse_matches_dense_inverse():
+    rng = np.random.default_rng(7)
+    for n in (1, 4, 30):
+        B = rng.standard_normal((n, n))
+        A = B @ B.T + n * np.eye(n)
+        f = spd_factorize(A)
+        factor = f.factor.copy()
+        inv = spd_inverse(f)
+        assert inv.flags.c_contiguous and np.array_equal(inv, inv.T)
+        assert np.allclose(inv, np.linalg.inv(A), rtol=0, atol=1e-12)
+        # the factor stays usable for solves
+        assert np.array_equal(f.factor, factor)
+
+
+def test_only_the_lower_triangle_is_read():
+    # LAPACK's contract: a symmetric matrix and its lower triangle with
+    # garbage above the diagonal give the same eigenpairs and factor
+    rng = np.random.default_rng(8)
+    n = 9
+    B = rng.standard_normal((n, n))
+    A = B @ B.T + n * np.eye(n)
+    garbled = np.tril(A) + np.triu(rng.standard_normal((n, n)), 1)
+    assert not np.array_equal(garbled, garbled.T)
+    for count in (None, 3):
+        want, got = symmetric_eigen(A, count), symmetric_eigen(garbled, count)
+        assert np.array_equal(want.values, got.values)
+        assert np.array_equal(want.vectors, got.vectors)
+    assert np.array_equal(np.tril(spd_factorize(A).factor), np.tril(spd_factorize(garbled).factor))
+    with pytest.raises(ValueError, match="square"):
+        symmetric_eigen(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="non-finite"):
+        spd_factorize(np.full((2, 2), np.nan))
 
 
 def test_symmetrize_returns_average():

@@ -294,6 +294,7 @@ def test_report_parse_errors():
         ("converged = yes", "converged = maybe", "line 6: bad value for 'converged'"),
         ("components = 2", "components = two", "line 7: bad value for 'components'"),
         ("i0001 = 10.5 1.0", "i0001 = 10.5", "line 17: bad value for 'i0001'"),
+        ("nmi = 0.882255\n", "", "missing 'nmi'"),
     ):
         assert old in text
         with pytest.raises(ValueError, match=message):
