@@ -108,7 +108,7 @@ def _cmd_build_kernels(args) -> int:
         name = f"kernel_{i:02d}.csv"
         save_matrix(K.values, os.path.join(args.out, name))
         manifest.append(f"{name} {kernel_label(K)}")
-    _atomic_write(os.path.join(args.out, "kernels.txt"), "\n".join(manifest) + "\n")
+    _atomic_write(os.path.join(args.out, "kernels.txt"), [line + "\n" for line in manifest])
     print(f"wrote {len(bank)} kernel matrices and kernels.txt to {args.out}")
     return 0
 

@@ -9,17 +9,25 @@ File formats are plain line-oriented text chosen for diff-ability:
 - run report: versioned key-value sections ("spc-report/1"), metrics with
   6 fractional digits, everything else at full precision.
 
-All writes go through a write-temp-then-rename step so readers never see a
-half-written file.
+Matrix files are streamed one row at a time in both directions: the writer
+formats each row with one ``%`` call, the reader converts each row with one
+``float`` pass, and neither holds the whole file as a string.
+
+All writes go through one write-temp-then-rename step, so readers never see
+a half-written file; a write that fails removes its temp file and leaves the
+target as it was.
 """
 
 from __future__ import annotations
 
+import io
+import itertools
 import os
 import json
 import time
+from array import array
 from dataclasses import dataclass, field, fields as dataclass_fields
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -56,11 +64,24 @@ SVG_PALETTE = (
 )
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
+    """Write the concatenated chunks to path through a temp file and a rename.
+
+    Chunks are written as they come, so a generator is streamed. On any
+    exception the temp file is removed, the target is left as it was and
+    the exception propagates.
+    """
     tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except FileNotFoundError:
+            pass
+        raise
 
 
 def _fmt(v: float) -> str:
@@ -72,61 +93,114 @@ def _fmt(v: float) -> str:
 # dense matrix and label files
 
 
-def format_matrix(A: np.ndarray) -> str:
+def _matrix_lines(A: np.ndarray) -> Iterator[str]:
+    # checks run now, before any caller opens a file; rows are formatted lazily
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got shape {A.shape}")
-    lines = [f"{A.shape[0]},{A.shape[1]}"]
-    for row in A:
-        lines.append(",".join("%.17g" % v for v in row))
-    return "\n".join(lines) + "\n"
+    rows, cols = A.shape
+    if rows < 1 or cols < 1:
+        raise ValueError(f"matrix dimensions must be positive, got shape {A.shape}")
+    row_format = ",".join(["%.17g"] * cols) + "\n"
+    body = (row_format % tuple(row.tolist()) for row in A)
+    return itertools.chain([f"{rows},{cols}\n"], body)
 
 
-def parse_matrix(text: str, source: str = "<string>") -> np.ndarray:
-    lines = text.splitlines()
-    if not lines:
+def format_matrix(A: np.ndarray) -> str:
+    """Matrix file text: "rows,cols", then one line per row, values as %.17g.
+
+    The text is the join of the lines save_matrix streams, so the two give
+    the same bytes. Raises ValueError for anything but a 2-D matrix with
+    both dimensions positive.
+    """
+    return "".join(_matrix_lines(A))
+
+
+def _read_matrix(lines: Iterator[str], source: str) -> np.ndarray:
+    """The one matrix parser: consumes a file's lines (newline-terminated) one by one.
+
+    Values use Python's float syntax. The first fault found is reported in
+    this order: header, too few data lines, content after the last row,
+    then the first malformed row, with its line and column numbers.
+    """
+    header = next(lines, None)
+    if header is None:
         raise ValueError(f"{source}: empty matrix file")
-    head = lines[0].split(",")
+    header = header.rstrip("\n")
+    head = header.split(",")
     if len(head) != 2:
-        raise ValueError(f"{source}, line 1: header must be 'rows,cols', got {lines[0]!r}")
+        raise ValueError(f"{source}, line 1: header must be 'rows,cols', got {header!r}")
     try:
         rows, cols = int(head[0]), int(head[1])
     except ValueError:
-        raise ValueError(f"{source}, line 1: header must be two integers, got {lines[0]!r}") from None
+        raise ValueError(f"{source}, line 1: header must be two integers, got {header!r}") from None
     if rows < 1 or cols < 1:
         raise ValueError(f"{source}, line 1: dimensions must be positive, got {rows}x{cols}")
-    if len(lines) - 1 < rows:
-        raise ValueError(f"{source}: header promises {rows} rows, file has {len(lines) - 1} data lines")
-    for extra in lines[1 + rows :]:
-        if extra.strip():
-            raise ValueError(f"{source}: unexpected content after row {rows}: {extra!r}")
-    out = np.empty((rows, cols))
-    for r in range(rows):
-        parts = lines[1 + r].split(",")
-        if len(parts) != cols:
-            raise ValueError(f"{source}, line {r + 2}: expected {cols} values, got {len(parts)}")
+    values = array("d")  # grows with the rows read: a header alone allocates nothing
+    bad_row = None  # message for the first malformed row, raised once the line count is known
+    data_lines = 0
+    for data_lines, line in enumerate(lines, start=1):
+        if data_lines > rows:
+            if line.strip():
+                extra = line.rstrip("\n")
+                raise ValueError(f"{source}: unexpected content after row {rows}: {extra!r}")
+        elif bad_row is None:
+            fault = _read_row(values, cols, line)
+            if fault is not None:
+                bad_row = f"{source}, line {data_lines + 1}{fault}"
+    if data_lines < rows:
+        raise ValueError(f"{source}: header promises {rows} rows, file has {data_lines} data lines")
+    if bad_row is not None:
+        raise ValueError(bad_row)
+    return np.array(values).reshape(rows, cols)
+
+
+def _read_row(values: array, cols: int, line: str) -> Optional[str]:
+    # appends the line's values, or returns what is wrong with the line (values
+    # may then hold part of the row, but a parse with a bad row never returns them)
+    parts = line.split(",")
+    if len(parts) != cols:
+        return f": expected {cols} values, got {len(parts)}"
+    try:
+        values.extend(map(float, parts))
+    except ValueError:
         for c, part in enumerate(parts):
             try:
-                out[r, c] = float(part)
+                float(part)
             except ValueError:
-                raise ValueError(
-                    f"{source}, line {r + 2}, column {c + 1}: {part.strip()!r} is not a number"
-                ) from None
-    return out
+                return f", column {c + 1}: {part.strip()!r} is not a number"
+        raise
+    return None
+
+
+def parse_matrix(text: str, source: str = "<string>") -> np.ndarray:
+    """Parse matrix file text; the inverse of format_matrix.
+
+    Runs the parser load_matrix runs, over the text's lines split as a file
+    read in text mode splits them (\\n, \\r\\n or \\r), so both accept the same
+    content and raise the same errors. Errors name source, line and column.
+    """
+    return _read_matrix(io.StringIO(text, newline=None), source)
 
 
 def save_matrix(A: np.ndarray, path: str) -> None:
-    _atomic_write(path, format_matrix(A))
+    """Write a matrix file, streaming one formatted row at a time.
+
+    The bytes equal format_matrix(A). The file appears by temp-then-rename;
+    a matrix that format_matrix rejects raises before any file is opened.
+    """
+    _atomic_write(path, _matrix_lines(A))
 
 
 def load_matrix(path: str) -> np.ndarray:
+    """Read a matrix file row by row from the open file; errors name the path."""
     with open(path) as fh:
-        return parse_matrix(fh.read(), source=path)
+        return _read_matrix(fh, path)
 
 
 def save_labels(labels, path: str) -> None:
     labels = np.asarray(labels).ravel()
-    _atomic_write(path, "".join(f"{int(v)}\n" for v in labels))
+    _atomic_write(path, [f"{int(v)}\n" for v in labels])
 
 
 def load_labels(path: str) -> np.ndarray:
@@ -531,7 +605,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         timings={"total_seconds": time.perf_counter() - t0},
     )
     os.makedirs(cfg.out, exist_ok=True)
-    _atomic_write(os.path.join(cfg.out, "report.txt"), report.to_text())
+    _atomic_write(os.path.join(cfg.out, "report.txt"), [report.to_text()])
     save_labels(result.labels, os.path.join(cfg.out, "labels.txt"))
     save_matrix(result.graph, os.path.join(cfg.out, "graph.csv"))
     return report
@@ -574,4 +648,4 @@ def emit_scatter_svg(X: Dataset, labels, path: str) -> None:
         color = SVG_PALETTE[int(c) % len(SVG_PALETTE)]
         lines.append(f'<circle cx="{px:.3f}" cy="{py:.3f}" r="3" fill="{color}"/>')
     lines.append("</svg>")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, [line + "\n" for line in lines])

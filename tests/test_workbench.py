@@ -1,5 +1,7 @@
 import dataclasses
+import errno
 import os
+import re
 
 import numpy as np
 import pytest
@@ -23,14 +25,37 @@ from spclust.workbench import (
 # --- matrix files -----------------------------------------------------------------
 
 
+def _bits(A):
+    return np.ascontiguousarray(A, dtype=float).view(np.uint64)
+
+
 def test_matrix_round_trip_is_bitwise(tmp_path):
     rng = np.random.default_rng(0)
+    special = [-0.0, 0.0, 5e-324, 2.2250738585072009e-308, -1e-310, np.nan, np.inf, -np.inf, 1e308]
     for _ in range(5):
         A = rng.standard_normal((int(rng.integers(1, 9)), int(rng.integers(1, 9))))
         A *= 10.0 ** rng.integers(-200, 200, size=A.shape)
+        A.flat[rng.integers(0, A.size, size=3)] = rng.choice(special, size=3)
         path = str(tmp_path / "m.csv")
         sp.save_matrix(A, path)
-        assert np.array_equal(sp.load_matrix(path), A)
+        assert np.array_equal(_bits(sp.load_matrix(path)), _bits(A))
+    A = np.array([special])
+    sp.save_matrix(A, path)
+    assert np.array_equal(_bits(sp.load_matrix(path)), _bits(A))
+
+
+def test_bank_kernel_file_round_trip_is_bitwise(tmp_path):
+    K = sp.build_standard_bank(sp.generate_two_moons(600, 0.08, seed=1))[0].values
+    path = str(tmp_path / "kernel_01.csv")
+    sp.save_matrix(K, path)
+    assert np.array_equal(_bits(sp.load_matrix(path)), _bits(K))
+    with open(path) as fh:
+        assert fh.read() == format_matrix(K)
+
+
+def test_matrix_file_bytes_are_pinned():
+    text = format_matrix([[-0.0, 5e-324, 0.1, 1 / 3, 1e308, 2.0]])
+    assert text == "1,6\n-0,4.9406564584124654e-324,0.10000000000000001,0.33333333333333331,1e+308,2\n"
 
 
 def test_matrix_format_header_and_body():
@@ -51,6 +76,8 @@ def test_matrix_parse_errors():
         parse_matrix("0,2\n")
     with pytest.raises(ValueError, match="promises 2 rows"):
         parse_matrix("2,2\n1,2\n")
+    with pytest.raises(ValueError, match="promises 1000000 rows, file has 1 data lines"):
+        parse_matrix("1000000,1000000\n1,2\n")  # nothing sized from the header alone
     with pytest.raises(ValueError, match="line 2, column 2"):
         parse_matrix("1,2\n1,oops\n")
     with pytest.raises(ValueError, match="expected 2 values"):
@@ -59,10 +86,120 @@ def test_matrix_parse_errors():
         parse_matrix("1,1\n5\n6\n")
 
 
+def test_matrix_writer_rejects_what_the_reader_would(tmp_path):
+    path = str(tmp_path / "empty.csv")
+    for shape in [(0, 3), (3, 0)]:
+        with pytest.raises(ValueError, match=re.escape(f"positive, got shape {shape}")):
+            sp.save_matrix(np.empty(shape), path)
+        with pytest.raises(ValueError, match="positive"):
+            format_matrix(np.empty(shape))
+    with pytest.raises(ValueError, match="2-D"):
+        sp.save_matrix(np.zeros(3), path)
+    assert os.listdir(tmp_path) == []
+
+
+# content, then the array parse_matrix gives or its message after the source name
+_MATRIX_CONTENT = [
+    ("2,2\r\n1,2\r\n3,4\r\n", np.array([[1.0, 2.0], [3.0, 4.0]])),
+    ("2,2\r1,2\r3,4", np.array([[1.0, 2.0], [3.0, 4.0]])),
+    ("3,3\n1,2,3\n4,5,6\n7,8,9\n\n \n", np.arange(1.0, 10.0).reshape(3, 3)),
+    ("3,3\n1,2,3\n4,5,6\n7,8,9x\n", ", line 4, column 3: '9x' is not a number"),
+    ("3,3\r\n1,2,3\r\n4,5,6\r\n7,8,\r\n", ", line 4, column 3: '' is not a number"),
+    (
+        "40,5\n" + "1,2,3,4,5\n" * 36 + "1,2,3,4,5e\n" + "1,2,3,4,5\n" * 3,
+        ", line 38, column 5: '5e' is not a number",
+    ),
+    ("3,2\n1,2\n3,4,5\n6,7\n", ", line 3: expected 2 values, got 3"),
+    ("3,2\n1,2\n3,4\n", ": header promises 3 rows, file has 2 data lines"),
+    ("3,2\n1,2\nx,4\n", ": header promises 3 rows, file has 2 data lines"),
+    ("1,2\n1,2\n\n3,4\n", ": unexpected content after row 1: '3,4'"),
+    ("1,2\nx,2\n3,4\n", ": unexpected content after row 1: '3,4'"),
+    ("2,x\r\n1\r\n", ", line 1: header must be two integers, got '2,x'"),
+    ("", ": empty matrix file"),
+]
+
+
+@pytest.mark.parametrize("content, expected", _MATRIX_CONTENT)
+def test_parse_and_load_agree(tmp_path, content, expected):
+    path = str(tmp_path / "m.csv")
+    with open(path, "w", newline="") as fh:
+        fh.write(content)
+
+    def outcome(read):
+        try:
+            return _bits(read())
+        except ValueError as e:
+            return str(e)
+
+    from_text = outcome(lambda: parse_matrix(content, source=path))
+    from_file = outcome(lambda: sp.load_matrix(path))
+    if isinstance(expected, str):
+        assert from_text == from_file == path + expected
+    else:
+        assert np.array_equal(from_text, _bits(expected))
+        assert np.array_equal(from_file, _bits(expected))
+
+
+def test_matrix_values_use_float_syntax():
+    fields = ["1_0", " 1.5 ", "nan", "inf", "-Infinity", "+2E-3"]
+    A = parse_matrix(f"1,{len(fields)}\n" + ",".join(fields) + "\n")
+    assert np.array_equal(_bits(A), _bits([[float(f) for f in fields]]))
+
+
 def test_no_temp_file_left_behind(tmp_path):
     path = str(tmp_path / "a.csv")
     sp.save_matrix(np.eye(2), path)
     assert os.listdir(tmp_path) == ["a.csv"]
+
+
+class _FullDisk:
+    """A file open for writing that raises ENOSPC once its byte budget is spent."""
+
+    def __init__(self, fh, budget):
+        self.fh, self.budget = fh, budget
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, s):
+        if len(s) > self.budget:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.budget -= len(s)
+        return self.fh.write(s)
+
+    def writelines(self, chunks):
+        for chunk in chunks:
+            self.write(chunk)
+
+
+def _disk_full_after(nbytes):
+    real_open = open
+
+    def fake_open(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        return _FullDisk(fh, nbytes) if "w" in mode else fh
+
+    return fake_open
+
+
+def test_failed_write_leaves_directory_unchanged(tmp_path, monkeypatch):
+    matrix_path = str(tmp_path / "kernel.csv")
+    sp.save_matrix(np.eye(3), matrix_path)
+    (tmp_path / "report.txt").write_text("old report\n")
+    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+
+    monkeypatch.setattr(workbench, "open", _disk_full_after(50), raising=False)
+    for path in (matrix_path, str(tmp_path / "new.csv")):
+        with pytest.raises(OSError, match="No space"):
+            sp.save_matrix(np.full((40, 40), 1 / 3), path)  # header fits, first row does not
+    with pytest.raises(OSError, match="No space"):
+        sp.run_experiment(run_cfg(tmp_path, out=str(tmp_path)))  # report.txt is written first
+    monkeypatch.undo()
+
+    assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
 
 
 # --- label files ---------------------------------------------------------------------
