@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .numerics import check_finite
+from .numerics import _square, check_finite
 
 # Standard bank layout: seven gaussian scales (ascending), four polynomial
 # (a, b) pairs in lexicographic order, one linear kernel. Order is fixed so
@@ -70,15 +70,18 @@ class KernelSpec:
 
 @dataclass
 class KernelMatrix:
-    """An n x n similarity matrix together with the spec that produced it."""
+    """An n x n similarity matrix together with the spec that produced it.
+
+    The values must be a finite square matrix; they are stored exactly
+    symmetric.
+    """
 
     values: np.ndarray
     spec: Optional[KernelSpec] = None
     normalized: bool = False
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        check_finite(self.values, "kernel matrix")
+        self.values = _square(self.values, "kernel matrix")
         # construction guarantees exact symmetry
         self.values = 0.5 * (self.values + self.values.T)
 

@@ -50,6 +50,7 @@ def combine_kernels(
     Weights must be nonnegative and, unless require_feasible is off, satisfy
     sum(sqrt(w)) = 1. run_mspc disables the check once, for the
     deliberately infeasible 1/r starting point; every later combine is checked.
+    The sum is accumulated in one n x n buffer through one scratch array.
     """
     n = _check_bank(bank)
     w = np.asarray(w, dtype=float)
@@ -64,8 +65,9 @@ def combine_kernels(
                 f"weights are infeasible: sum(sqrt(w)) deviates from 1 by {dev:.3e}"
             )
     H = np.zeros((n, n))
+    scaled = np.empty((n, n))
     for wi, K in zip(w, bank):
-        H = H + wi * kernel_values(K)
+        H += np.multiply(kernel_values(K), wi, out=scaled)
     return KernelMatrix(H)
 
 

@@ -78,12 +78,12 @@ def check_finite(A: np.ndarray, name: str = "matrix") -> None:
         raise ValueError(f"{name} has non-finite entry at index {idx}")
 
 
-def _square(A: np.ndarray) -> np.ndarray:
-    """A as a float array, checked to be a finite square matrix."""
+def _square(A: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """A as a float array, checked to be a finite square matrix; errors name it."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    check_finite(A)
+        raise ValueError(f"expected a square {name}, got shape {A.shape}")
+    check_finite(A, name)
     return A
 
 

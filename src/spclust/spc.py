@@ -8,7 +8,9 @@ step on the embedding is needed.
 
 Each outer iteration alternates:
 
-1. embedding step: F <- the c bottom eigenvectors of the Laplacian of Z;
+1. embedding step (:func:`update_embedding`): F <- the c bottom
+   eigenvectors of the Laplacian of Z, from one eigensolve that also
+   returns the c+1 smallest eigenvalues, whose zeros the beta anneal counts;
 2. graph step: every column of Z gets the closed-form minimizer of the
    ridge-regularized quadratic, A^{-1} (alpha*K - (beta/2)*P) with
    A = K + 2*gamma*I and P the squared embedding distances. P is
@@ -159,18 +161,35 @@ class ClusteringResult:
 
 
 def build_laplacian(Z: np.ndarray) -> np.ndarray:
-    """Graph Laplacian of the symmetrized affinity: diag(colsums(W)) - W."""
+    """Graph Laplacian of the symmetrized affinity: diag(colsums(W)) - W.
+
+    W = (Z + Z')/2 is built in one n x n buffer that then becomes L. The
+    off-diagonal entries are 0 - W, not -W: negation would turn the +0.0
+    entries into -0.0, and the eigensolver's Householder step reads the
+    sign of zero.
+    """
     Z = np.asarray(Z, dtype=float)
-    W = 0.5 * (Z + Z.T)
-    L = np.diag(W.sum(axis=0)) - W
-    return L
+    W = Z + Z.T
+    W *= 0.5
+    degrees = W.sum(axis=0)
+    np.subtract(0.0, W, out=W)
+    W.flat[:: W.shape[0] + 1] += degrees
+    return W
 
 
-def update_embedding(L: np.ndarray, c: int) -> np.ndarray:
-    """Orthonormal n x c matrix spanning the c bottom eigenvectors of L."""
+def update_embedding(L: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """The F-step: the c bottom eigenvectors of L, and its c+1 smallest eigenvalues.
+
+    Returns (F, values). F is the orthonormal n x c block of bottom
+    eigenvectors. values holds the c+1 smallest eigenvalues, ascending (all
+    n of them when c = n), so the caller can tell whether the graph has
+    fewer, exactly or more than c components. Both come from one
+    symmetric_eigen call.
+    """
     if c > L.shape[0]:
         raise ValueError(f"cannot take {c} eigenvectors from an order-{L.shape[0]} matrix")
-    return symmetric_eigen(L, c).vectors[:, :c]
+    eig = symmetric_eigen(L, c + 1)
+    return eig.vectors[:, :c], eig.values
 
 
 def update_graph_column(
@@ -288,7 +307,6 @@ def alternate(
     adjustments = 0
     trace = SpcTrace()
     tol_reached = False
-    F = np.zeros((n, cfg.clusters))
 
     for _ in range(cfg.max_iters):
         tic = time.perf_counter()
@@ -297,9 +315,8 @@ def alternate(
             AK = spd_inverse(factor)
             AK *= -2.0 * cfg.gamma
             AK.flat[:: n + 1] += 1.0
-        eig = symmetric_eigen(build_laplacian(Z), cfg.clusters + 1)
-        F = eig.vectors[:, : cfg.clusters]
-        zero_eigs = int(np.count_nonzero(eig.values < ZERO_EIG_TOL))
+        F, eigenvalues = update_embedding(build_laplacian(Z), cfg.clusters)
+        zero_eigs = int(np.count_nonzero(eigenvalues < ZERO_EIG_TOL))
 
         if cfg.adapt_beta and adjustments < MAX_BETA_ADJUSTMENTS:
             if zero_eigs < cfg.clusters:

@@ -199,7 +199,22 @@ def load_matrix(path: str) -> np.ndarray:
 
 
 def save_labels(labels, path: str) -> None:
+    """Write one integer label per line, by temp-then-rename.
+
+    An empty array, which load_labels would refuse, and a value that is not
+    an integer (1.7, nan, a string) raise ValueError before any file is
+    opened. Integral floats are written as integers.
+    """
     labels = np.asarray(labels).ravel()
+    if labels.size == 0:
+        raise ValueError(f"{path}: no labels to write; a label file holds at least one")
+    if labels.dtype.kind not in "biuf":
+        raise ValueError(f"{path}: labels must be integers, got dtype {labels.dtype}")
+    if labels.dtype.kind == "f":
+        bad = np.flatnonzero(~(np.isfinite(labels) & (np.trunc(labels) == labels)))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"{path}: label {i} is {float(labels[i])!r}, not an integer")
     _atomic_write(path, [f"{int(v)}\n" for v in labels])
 
 

@@ -182,7 +182,7 @@ def test_embedding_step_attains_spectrum_sum():
         c = int(rng.integers(2, min(5, n - 1) + 1))
         Z = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
         L = sp.build_laplacian(Z)
-        F = sp.update_embedding(L, c)
+        F, _ = sp.update_embedding(L, c)
         attained = float(np.sum((L @ F) * F))
         target = float(np.linalg.eigvalsh(L)[:c].sum())
         worst = max(worst, abs(attained - target))

@@ -102,8 +102,11 @@ def test_kernel_matrix_exactly_symmetric():
     rng = np.random.default_rng(5)
     K = KernelMatrix(rng.standard_normal((6, 6)))
     assert np.array_equal(K.values, K.values.T)
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match="kernel matrix has non-finite"):
         KernelMatrix(np.array([[1.0, np.nan], [0.0, 1.0]]))
+    for values in (np.zeros((3, 4)), np.zeros(3)):
+        with pytest.raises(ValueError, match="square kernel matrix"):
+            KernelMatrix(values)
 
 
 def test_normalize_kernel_min_max():

@@ -45,6 +45,18 @@ def test_combine_two_kernel_average():
     assert np.allclose(H.values, 0.25 * (bank[0].values + bank[1].values), atol=1e-15)
 
 
+def test_combine_equals_the_plain_weighted_sum_bit_for_bit():
+    # accumulating into one buffer changes no bit of sum_i w_i K^i
+    rng = np.random.default_rng(4)
+    bank = random_bank(rng, 7, 3)
+    w = rng.random(3)
+    H = np.zeros((7, 7))
+    for wi, K in zip(w, bank):
+        H = H + wi * K.values
+    combined = combine_kernels(bank, w, require_feasible=False).values
+    assert combined.tobytes() == (0.5 * (H + H.T)).tobytes()
+
+
 def test_combine_validates_inputs():
     rng = np.random.default_rng(3)
     bank = random_bank(rng, 4, 2)

@@ -5,7 +5,7 @@ import pytest
 
 import spclust as sp
 import spclust.spc as spc_module
-from spclust.spc import init_graph
+from spclust.spc import ZERO_EIG_TOL, init_graph
 
 PATH3_LAPLACIAN = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
 
@@ -68,18 +68,47 @@ def test_laplacian_symmetrizes_and_rows_sum_to_zero():
         assert np.linalg.eigvalsh(L).min() >= -1e-10
 
 
+def test_laplacian_keeps_positive_zeros():
+    # the off-diagonal entries are 0 - W, so where Z + Z' is zero the Laplacian
+    # holds +0.0, byte for byte as diag(colsums(W)) - W; -W would give -0.0,
+    # whose sign the eigensolver's Householder step reads
+    rng = np.random.default_rng(10)
+    n = 12
+    Z = rng.random((n, n)) * (rng.random((n, n)) < 0.3)
+    Z[3, :] = Z[:, 3] = 0.0  # an isolated vertex
+    L = sp.build_laplacian(Z)
+    zeros = (Z + Z.T == 0) & ~np.eye(n, dtype=bool)
+    assert zeros.any() and not np.signbit(L[zeros]).any()
+    W = 0.5 * (Z + Z.T)
+    assert L.tobytes() == (np.diag(W.sum(axis=0)) - W).tobytes()
+
+
 def test_embedding_is_orthonormal_and_spans_bottom_spectrum():
     rng = np.random.default_rng(1)
     Z = rng.random((15, 15))
     L = sp.build_laplacian(Z)
     for c in (2, 3, 5):
-        F = sp.update_embedding(L, c)
+        F, _ = sp.update_embedding(L, c)
         assert F.shape == (15, c)
         assert np.allclose(F.T @ F, np.eye(c), atol=1e-10)
         w = np.linalg.eigvalsh(L)
         assert np.sum((L @ F) * F) == pytest.approx(w[:c].sum(), abs=1e-8)
     with pytest.raises(ValueError, match="eigenvectors"):
         sp.update_embedding(L, 16)
+
+
+def test_embedding_returns_the_c_plus_one_smallest_eigenvalues():
+    rng = np.random.default_rng(11)
+    L = sp.build_laplacian(rng.random((15, 15)))
+    w = np.linalg.eigvalsh(L)
+    for c in (2, 3, 5):
+        _, values = sp.update_embedding(L, c)
+        assert values.shape == (c + 1,)
+        assert np.allclose(values, w[: c + 1], rtol=0, atol=1e-10)
+    # with c = n there is no (c+1)-th eigenvalue, so all n come back
+    F, values = sp.update_embedding(L, 15)
+    assert F.shape == (15, 15) and values.shape == (15,)
+    assert np.allclose(values, w, rtol=0, atol=1e-10)
 
 
 # --- closed-form graph step ----------------------------------------------------
@@ -146,7 +175,7 @@ def test_objective_matches_termwise_recomputation():
     n = 9
     K = random_psd_kernel(rng, n)
     Z = rng.random((n, n))
-    F = sp.update_embedding(sp.build_laplacian(Z), 3)
+    F, _ = sp.update_embedding(sp.build_laplacian(Z), 3)
     cfg = small_config(alpha=2.5, beta=1.5, gamma=0.3, clusters=3)
     L = sp.build_laplacian(Z)
     expect = (
@@ -311,6 +340,35 @@ def record_graph_steps(monkeypatch):
 
     monkeypatch.setattr(spc_module, "project_nonneg", recording)
     return steps
+
+
+def record_embedding_steps(monkeypatch):
+    """Collect the (F, values) of every F-step the solver loop takes."""
+    steps = []
+
+    def recording(L, c):
+        steps.append(sp.update_embedding(L, c))
+        return steps[-1]
+
+    monkeypatch.setattr(spc_module, "update_embedding", recording)
+    return steps
+
+
+def test_loop_takes_one_embedding_step_per_iteration(monkeypatch):
+    # update_embedding is the loop's only F-step: one call per iteration, and
+    # the trace counts the zeros among the eigenvalues it returns
+    steps = record_embedding_steps(monkeypatch)
+    X = blob_dataset()
+    cfg = sp.SpcConfig(alpha=1.0, beta=0.5, gamma=3.0, clusters=2, adapt_beta=True, seed=0)
+    spc_result = sp.run_spc(sp.gaussian_kernel(X, 1.0), cfg)
+    spc_steps = list(steps)
+    steps.clear()
+    mspc_result, _ = sp.run_mspc(sp.build_standard_bank(X), cfg)
+    for result, taken in ((spc_result, spc_steps), (mspc_result, steps)):
+        t = result.trace
+        assert t.iterations > 1 and len(taken) == t.iterations
+        assert t.near_zero_eigs == [int(np.count_nonzero(v < ZERO_EIG_TOL)) for _, v in taken]
+        assert result.embedding is taken[-1][0]
 
 
 def assert_last_iteration_matches_reference(K, Z_prev, Z_unproj, result, cfg):

@@ -211,6 +211,23 @@ def test_labels_round_trip(tmp_path):
     assert np.array_equal(sp.load_labels(path), [3, 1, 2, 1])
 
 
+def test_labels_writer_refuses_what_the_reader_would(tmp_path):
+    # an empty array and a non-integral value raise before any file is opened
+    path = str(tmp_path / "y.labels")
+    with pytest.raises(ValueError, match="no labels"):
+        sp.save_labels([], path)
+    for labels in ([1.7, -2], [0.0, float("nan")], [1.0, float("inf")], ["a", "b"]):
+        with pytest.raises(ValueError, match="not an integer|must be integers"):
+            sp.save_labels(labels, path)
+    assert os.listdir(tmp_path) == []
+    # integral floats and booleans are written as integers, as before
+    sp.save_labels(np.array([3.0, -1.0, 0.0]), path)
+    with open(path) as fh:
+        assert fh.read() == "3\n-1\n0\n"
+    sp.save_labels(np.array([True, False]), path)
+    assert np.array_equal(sp.load_labels(path), [1, 0])
+
+
 def test_labels_parse_errors(tmp_path):
     path = str(tmp_path / "y.labels")
     path2 = str(tmp_path / "empty.labels")
