@@ -31,6 +31,11 @@ from .spc import ClusteringResult, SpcConfig, _check_bank, alternate, kernel_cos
 # tolerance on |sum(sqrt(w)) - 1| when validating caller-supplied weights
 FEASIBILITY_TOL = 1e-8
 
+# rows of H summed over the whole bank at a time; at n = 1000 one block of H,
+# its scratch and one kernel's block take 1.5 MB, small enough for a 2 MB L2
+# (32 and 64 rows measured alike, 16 and 128 slower)
+_BLOCK_ROWS = 64
+
 
 @dataclass
 class MklState:
@@ -50,7 +55,10 @@ def combine_kernels(
     Weights must be nonnegative and, unless require_feasible is off, satisfy
     sum(sqrt(w)) = 1. run_mspc disables the check once, for the
     deliberately infeasible 1/r starting point; every later combine is checked.
-    The sum is accumulated in one n x n buffer through one scratch array.
+    H is summed block by block: each block of 64 rows is accumulated over
+    all kernels, in bank order, while it is in cache, through one
+    block-sized scratch array. Per entry it is the same multiply-then-add
+    sequence as the plain sum, so the bits are the same.
     """
     n = _check_bank(bank)
     w = np.asarray(w, dtype=float)
@@ -64,10 +72,14 @@ def combine_kernels(
             raise ValueError(
                 f"weights are infeasible: sum(sqrt(w)) deviates from 1 by {dev:.3e}"
             )
+    values = [kernel_values(K) for K in bank]
     H = np.zeros((n, n))
-    scaled = np.empty((n, n))
-    for wi, K in zip(w, bank):
-        H += np.multiply(kernel_values(K), wi, out=scaled)
+    scratch = np.empty((min(_BLOCK_ROWS, n), n))
+    for lo in range(0, n, _BLOCK_ROWS):
+        block = H[lo : lo + _BLOCK_ROWS]
+        scaled = scratch[: block.shape[0]]
+        for wi, V in zip(w, values):
+            block += np.multiply(V[lo : lo + _BLOCK_ROWS], wi, out=scaled)
     return KernelMatrix(H)
 
 

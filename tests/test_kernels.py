@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from spclust import (
     KernelSpec,
     build_standard_bank,
     gaussian_kernel,
+    generate_two_moons,
     linear_kernel,
     normalize_kernel,
     pairwise_sq_dist,
@@ -100,8 +103,13 @@ def test_linear_is_the_gram_matrix():
 
 def test_kernel_matrix_exactly_symmetric():
     rng = np.random.default_rng(5)
-    K = KernelMatrix(rng.standard_normal((6, 6)))
+    v = rng.standard_normal((6, 6))
+    before = v.copy()
+    K = KernelMatrix(v)
     assert np.array_equal(K.values, K.values.T)
+    # symmetrized into a new buffer, with the bits of 0.5 * (v + v.T)
+    assert np.array_equal(v.view(np.uint64), before.view(np.uint64))
+    assert np.array_equal(K.values.view(np.uint64), (0.5 * (v + v.T)).view(np.uint64))
     with pytest.raises(ValueError, match="kernel matrix has non-finite"):
         KernelMatrix(np.array([[1.0, np.nan], [0.0, 1.0]]))
     for values in (np.zeros((3, 4)), np.zeros(3)):
@@ -115,6 +123,9 @@ def test_normalize_kernel_min_max():
     assert N.values.min() == 0.0 and N.values.max() == 1.0
     assert np.allclose(N.values, [[0.0, 0.5], [0.5, 1.0]])
     assert N.normalized and not K.normalized
+    # scaled in a new buffer; the input kernel keeps its values
+    assert np.array_equal(K.values, [[2.0, 4.0], [4.0, 6.0]])
+    assert not np.shares_memory(N.values, K.values)
     with pytest.raises(ValueError, match="constant"):
         normalize_kernel(KernelMatrix(np.ones((3, 3))))
 
@@ -142,3 +153,40 @@ def test_standard_bank_deterministic():
     b1, b2 = build_standard_bank(X), build_standard_bank(X)
     for K1, K2 in zip(b1, b2):
         assert np.array_equal(K1.values, K2.values)
+
+
+@pytest.mark.parametrize(
+    "X",
+    [
+        Dataset(np.random.default_rng(14).standard_normal((3, 40))),
+        generate_two_moons(120, noise_sigma=0.1, seed=2),
+    ],
+    ids=["random3", "moons"],
+)
+def test_standard_bank_equals_the_public_path_bit_for_bit(X):
+    public = [normalize_kernel(gaussian_kernel(X, t)) for t in GAUSSIAN_T_GRID]
+    public += [normalize_kernel(polynomial_kernel(X, a, b)) for a, b in POLYNOMIAL_AB_GRID]
+    public.append(normalize_kernel(linear_kernel(X)))
+    bank = build_standard_bank(X)
+    assert len(bank) == len(public)
+    for K, P in zip(bank, public):
+        assert K.spec == P.spec and K.normalized
+        assert np.array_equal(K.values.view(np.uint64), P.values.view(np.uint64)), K.spec
+
+
+def test_standard_bank_memory_budget():
+    # the 12 kernels are 12 n^2 floats; at the peak the build also holds the
+    # distances or the Gram product, one scratch buffer and the kernel being
+    # symmetrized (13.1 n^2), where building each kernel on its own and
+    # normalizing the finished list peaks at 25.1 n^2
+    n = 300
+    X = generate_two_moons(n, noise_sigma=0.1, seed=0)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        bank = build_standard_bank(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(bank) == 12
+    assert (peak - start) / (8 * n * n) <= 16.0

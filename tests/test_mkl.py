@@ -46,15 +46,17 @@ def test_combine_two_kernel_average():
 
 
 def test_combine_equals_the_plain_weighted_sum_bit_for_bit():
-    # accumulating into one buffer changes no bit of sum_i w_i K^i
+    # summing block by block changes no bit of sum_i w_i K^i; 150 rows are
+    # two full 64-row blocks and a partial one
     rng = np.random.default_rng(4)
-    bank = random_bank(rng, 7, 3)
-    w = rng.random(3)
-    H = np.zeros((7, 7))
-    for wi, K in zip(w, bank):
-        H = H + wi * K.values
-    combined = combine_kernels(bank, w, require_feasible=False).values
-    assert combined.tobytes() == (0.5 * (H + H.T)).tobytes()
+    for n in (7, 150):
+        bank = random_bank(rng, n, 3)
+        w = rng.random(3)
+        H = np.zeros((n, n))
+        for wi, K in zip(w, bank):
+            H = H + wi * K.values
+        combined = combine_kernels(bank, w, require_feasible=False).values
+        assert combined.tobytes() == (0.5 * (H + H.T)).tobytes()
 
 
 def test_combine_validates_inputs():
