@@ -12,6 +12,7 @@ from .kernels import (
     Dataset,
     KernelMatrix,
     KernelSpec,
+    as_kernel,
     build_standard_bank,
     gaussian_kernel,
     linear_kernel,
@@ -28,7 +29,6 @@ from .numerics import (
     spd_factorize,
     spd_solve,
     symmetric_eigen,
-    symmetrize,
 )
 from .spc import (
     ClusteringResult,
@@ -61,6 +61,7 @@ __all__ = [
     "Dataset",
     "KernelMatrix",
     "KernelSpec",
+    "as_kernel",
     "build_standard_bank",
     "gaussian_kernel",
     "linear_kernel",
@@ -83,7 +84,6 @@ __all__ = [
     "spd_factorize",
     "spd_solve",
     "symmetric_eigen",
-    "symmetrize",
     "ClusteringResult",
     "SpcConfig",
     "SpcTrace",

@@ -4,6 +4,9 @@ Data matrices are laid out feature-major: X has shape (m, n) with one sample
 per column. Kernels are n x n, exactly symmetric, and can be min-max scaled
 to the [0, 1] range with :func:`normalize_kernel`.
 
+A kernel enters the solvers once, through :func:`as_kernel` (a bank through
+:func:`as_bank`): a KernelMatrix is trusted, a bare array is symmetrized once.
+
 The single-kernel functions and :func:`build_standard_bank` share one value
 helper per family. The bank computes the pairwise distances once for its
 seven gaussians and the Gram product once for its polynomial and linear
@@ -15,19 +18,23 @@ normalize_kernel applied to the single-kernel function of the same spec.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .numerics import _square, check_finite
+from .numerics import _square, _symmetric_part, check_finite
 
 # Standard bank layout: seven gaussian scales (ascending), four polynomial
 # (a, b) pairs in lexicographic order, one linear kernel. Order is fixed so
 # learned weight vectors are comparable across runs.
 GAUSSIAN_T_GRID = (0.01, 0.05, 0.1, 1.0, 10.0, 50.0, 100.0)
 POLYNOMIAL_AB_GRID = ((0.0, 2), (0.0, 4), (1.0, 2), (1.0, 4))
+
+# a bare kernel array more asymmetric than this is symmetrized with a warning
+ASYMMETRY_WARN_TOL = 1e-8
 
 
 @dataclass
@@ -72,8 +79,10 @@ class KernelSpec:
             raise ValueError(f"unknown kernel family {self.family!r}")
         if self.family == "gaussian" and not self.t > 0:
             raise ValueError(f"gaussian scale t must be positive, got {self.t}")
-        if self.family == "polynomial" and self.b < 1:
-            raise ValueError(f"polynomial exponent b must be >= 1, got {self.b}")
+        if self.family == "polynomial":
+            if not (float(self.b).is_integer() and self.b >= 1):
+                raise ValueError(f"polynomial exponent b must be an integer >= 1, got {self.b}")
+            object.__setattr__(self, "b", int(self.b))
 
 
 @dataclass
@@ -89,20 +98,36 @@ class KernelMatrix:
     normalized: bool = False
 
     def __post_init__(self):
-        v = _square(self.values, "kernel matrix")
-        # construction guarantees exact symmetry; same bits as 0.5 * (v + v.T)
-        out = v + v.T
-        out *= 0.5
-        self.values = out
+        # construction guarantees exact symmetry, in a new buffer
+        self.values = _symmetric_part(_square(self.values, "kernel matrix"))
 
     @property
     def order(self) -> int:
         return self.values.shape[0]
 
 
-def kernel_values(K) -> np.ndarray:
-    """Accept a KernelMatrix or a bare array and return the array."""
-    return np.asarray(getattr(K, "values", K), dtype=float)
+def as_kernel(K) -> KernelMatrix:
+    """K as a KernelMatrix: one returned as it is, or a bare array checked and
+    symmetrized once, with a warning above ASYMMETRY_WARN_TOL."""
+    if isinstance(K, KernelMatrix):
+        return K
+    A = np.asarray(K, dtype=float)
+    kernel = KernelMatrix(A)
+    asym = np.abs(A - A.T).max() if A.size else 0.0
+    if asym > ASYMMETRY_WARN_TOL:
+        warnings.warn(f"symmetrizing kernel matrix with max asymmetry {asym:.3e}", stacklevel=2)
+    return kernel
+
+
+def as_bank(bank) -> tuple[list[KernelMatrix], int]:
+    """The bank's kernels through as_kernel, checked non-empty and of one order n."""
+    if len(bank) == 0:
+        raise ValueError("kernel bank is empty")
+    bank = [as_kernel(K) for K in bank]
+    for i, K in enumerate(bank):
+        if K.order != bank[0].order:
+            raise ValueError(f"kernel {i} has order {K.order}, expected {bank[0].order} to match kernel 0")
+    return bank, bank[0].order
 
 
 def pairwise_sq_dist(X: Dataset) -> np.ndarray:
@@ -110,10 +135,7 @@ def pairwise_sq_dist(X: Dataset) -> np.ndarray:
     if X.n_samples < 2:
         raise ValueError("need at least two samples for pairwise distances")
     pts = X.values.T
-    D = cdist(pts, pts, "sqeuclidean")
-    S = D + D.T
-    S *= 0.5
-    return S
+    return _symmetric_part(cdist(pts, pts, "sqeuclidean"))
 
 
 def _max_sq_dist(D: np.ndarray) -> float:
@@ -154,10 +176,10 @@ def gaussian_kernel(X: Dataset, t: float) -> KernelMatrix:
 
 
 def polynomial_kernel(X: Dataset, a: float, b: int) -> KernelMatrix:
-    """(a + x^T y)^b on all sample pairs."""
-    spec = KernelSpec("polynomial", a=a, b=int(b))
+    """(a + x^T y)^b on all sample pairs; b must be integral (2.0 counts as 2)."""
+    spec = KernelSpec("polynomial", a=a, b=b)
     gram = _gram(X)
-    return KernelMatrix(_polynomial_values(gram, a, int(b), out=gram), spec=spec)
+    return KernelMatrix(_polynomial_values(gram, a, spec.b, out=gram), spec=spec)
 
 
 def linear_kernel(X: Dataset) -> KernelMatrix:

@@ -39,16 +39,12 @@ class Partition:
 
     @classmethod
     def from_labels(cls, values) -> "Partition":
-        """Relabel arbitrary integer labels to 0..k-1 in first-seen order."""
-        values = np.asarray(values)
-        remap: dict[int, int] = {}
-        out = np.empty(values.shape, dtype=int)
-        for i, v in enumerate(values.ravel()):
-            v = int(v)
-            if v not in remap:
-                remap[v] = len(remap)
-            out.flat[i] = remap[v]
-        return cls(out)
+        """Relabel integer labels (integral floats count) to 0..k-1 in first-seen order."""
+        values = _check_integer_labels(values).astype(int)
+        _, first, inverse = np.unique(values.ravel(), return_index=True, return_inverse=True)
+        rank = np.empty(first.size, dtype=int)
+        rank[np.argsort(first)] = np.arange(first.size)
+        return cls(rank[inverse].reshape(values.shape))
 
     @property
     def k(self) -> int:
@@ -57,6 +53,20 @@ class Partition:
     @property
     def n(self) -> int:
         return self.labels.size
+
+
+def _check_integer_labels(labels, where: str = "") -> np.ndarray:
+    """labels as an array; a non-integer (1.7, nan, "a") raises ValueError naming its index."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "biuf":
+        raise ValueError(f"{where}labels must be integers, got dtype {labels.dtype}")
+    if labels.dtype.kind == "f":
+        flat = labels.ravel()
+        bad = np.flatnonzero(~(np.isfinite(flat) & (np.trunc(flat) == flat)))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"{where}label {i} is {float(flat[i])!r}, not an integer")
+    return labels
 
 
 def _as_partition(p) -> Partition:

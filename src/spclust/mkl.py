@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelMatrix, kernel_values
-from .numerics import symmetrize
-from .spc import ClusteringResult, SpcConfig, _check_bank, alternate, kernel_costs
+from .kernels import KernelMatrix, as_bank
+from .spc import ClusteringResult, SpcConfig, alternate, kernel_costs
 
 # tolerance on |sum(sqrt(w)) - 1| when validating caller-supplied weights
 FEASIBILITY_TOL = 1e-8
@@ -58,9 +57,10 @@ def combine_kernels(
     H is summed block by block: each block of 64 rows is accumulated over
     all kernels, in bank order, while it is in cache, through one
     block-sized scratch array. Per entry it is the same multiply-then-add
-    sequence as the plain sum, so the bits are the same.
+    sequence as the plain sum, so the bits are the same. Bare arrays enter
+    through as_bank and add their symmetric parts.
     """
-    n = _check_bank(bank)
+    bank, n = as_bank(bank)
     w = np.asarray(w, dtype=float)
     if w.shape != (len(bank),):
         raise ValueError(f"got {w.shape[0] if w.ndim == 1 else w.shape} weights for {len(bank)} kernels")
@@ -72,14 +72,13 @@ def combine_kernels(
             raise ValueError(
                 f"weights are infeasible: sum(sqrt(w)) deviates from 1 by {dev:.3e}"
             )
-    values = [kernel_values(K) for K in bank]
     H = np.zeros((n, n))
     scratch = np.empty((min(_BLOCK_ROWS, n), n))
     for lo in range(0, n, _BLOCK_ROWS):
         block = H[lo : lo + _BLOCK_ROWS]
         scaled = scratch[: block.shape[0]]
-        for wi, V in zip(w, values):
-            block += np.multiply(V[lo : lo + _BLOCK_ROWS], wi, out=scaled)
+        for wi, K in zip(w, bank):
+            block += np.multiply(K.values[lo : lo + _BLOCK_ROWS], wi, out=scaled)
     return KernelMatrix(H)
 
 
@@ -116,12 +115,11 @@ def run_mspc(bank: list[KernelMatrix], cfg: SpcConfig) -> tuple[ClusteringResult
     weights, costs and combined kernel.
 
     A bank of one kernel reproduces the single-kernel run bit for bit given
-    the same seed, since the lone weight is exactly 1. Bare arrays in the
-    bank are symmetrized once here, with a warning if they were not nearly
-    symmetric, because kernel_costs needs exactly symmetric kernels.
+    the same seed, since the lone weight is exactly 1. The bank enters once,
+    through as_bank: KernelMatrix entries are trusted as they are, bare
+    arrays are symmetrized once, as kernel_costs needs.
     """
-    _check_bank(bank)
-    bank = [K if isinstance(K, KernelMatrix) else KernelMatrix(symmetrize(K)) for K in bank]
+    bank, _ = as_bank(bank)
     r = len(bank)
     # literal published initialization; infeasible for r > 1 until first update
     w = np.full(r, 1.0 / r)

@@ -1,10 +1,10 @@
 """Dense symmetric linear algebra used by the graph-learning solvers.
 
-Everything here works on plain float64 numpy arrays. :func:`symmetrize`
-turns an input into an exactly symmetric matrix, warning when it was not
-nearly symmetric; the solvers call it once, on the kernel they are given.
-Past that boundary every matrix they factorize or decompose (the Laplacian,
-K + 2*gamma*I) is exactly symmetric by construction, so
+Everything here works on plain float64 numpy arrays. A kernel enters the
+solvers once, through :func:`spclust.kernels.as_kernel`; every (A + A')/2 in
+the package is :func:`_symmetric_part`. Past that boundary every matrix the
+solvers factorize or decompose (the Laplacian, K + 2*gamma*I) is exactly
+symmetric by construction, so
 :func:`symmetric_eigen` and :func:`spd_factorize` read only the lower
 triangle, as LAPACK does, and never re-symmetrize.
 
@@ -24,7 +24,6 @@ right after a numpy ``np.linalg.norm`` (median of 10 each).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -32,8 +31,6 @@ import numpy as np
 from scipy.linalg import cho_solve, eigh
 from scipy.linalg.blas import dgemm, dsyrk
 from scipy.linalg.lapack import dpotrf, dpotri
-
-ASYMMETRY_WARN_TOL = 1e-8
 
 
 class FactorizationError(ValueError):
@@ -82,20 +79,16 @@ def _square(A: np.ndarray, name: str = "matrix") -> np.ndarray:
     """A as a float array, checked to be a finite square matrix; errors name it."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square {name}, got shape {A.shape}")
+        raise ValueError(f"{name} has shape {A.shape}, expected a square {name}")
     check_finite(A, name)
     return A
 
 
-def symmetrize(A: np.ndarray, warn_tol: float = ASYMMETRY_WARN_TOL) -> np.ndarray:
-    """Return (A + A.T) / 2, warning when the asymmetry is non-trivial."""
-    A = _square(A)
-    asym = np.abs(A - A.T).max() if A.size else 0.0
-    if asym > warn_tol:
-        warnings.warn(
-            f"symmetrizing matrix with max asymmetry {asym:.3e}", stacklevel=2
-        )
-    return 0.5 * (A + A.T)
+def _symmetric_part(A: np.ndarray) -> np.ndarray:
+    """(A + A.T) * 0.5 in one new buffer; the same bits as 0.5 * (A + A.T)."""
+    out = A + A.T
+    out *= 0.5
+    return out
 
 
 def symmetric_eigen(A: np.ndarray, count: Optional[int] = None) -> EigenSystem:

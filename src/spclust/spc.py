@@ -27,7 +27,8 @@ and the rest of the objective at a projected graph is half the fit cost
 tr(K) + <K, ZZ' - 2*alpha*Z> plus the ridge term. :func:`kernel_costs`
 computes that cost for every kernel of a bank from one triangle of ZZ', the
 one n x n product of an iteration. Every identity needs K exactly
-symmetric: :func:`alternate` symmetrizes the kernel it is given once, and
+symmetric: a kernel enters once, through :func:`spclust.kernels.as_kernel`,
+which trusts a KernelMatrix without a copy and symmetrizes a bare array, and
 every later matrix (each combined kernel, A, the Laplacian, ZZ') is exactly
 symmetric by construction, so none is symmetrized again.
 
@@ -50,17 +51,17 @@ from scipy.linalg.blas import ddot
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
-from .kernels import KernelMatrix, kernel_values
+from .kernels import KernelMatrix, as_bank, as_kernel
 from .metrics import Partition
 from .numerics import (
     SpdFactorization,
+    _symmetric_part,
     gram_upper,
     product,
     spd_factorize,
     spd_inverse,
     spd_solve,
     symmetric_eigen,
-    symmetrize,
 )
 
 # eigenvalues below this count as zero when checking component structure
@@ -168,9 +169,7 @@ def build_laplacian(Z: np.ndarray) -> np.ndarray:
     entries into -0.0, and the eigensolver's Householder step reads the
     sign of zero.
     """
-    Z = np.asarray(Z, dtype=float)
-    W = Z + Z.T
-    W *= 0.5
+    W = _symmetric_part(np.asarray(Z, dtype=float))
     degrees = W.sum(axis=0)
     np.subtract(0.0, W, out=W)
     W.flat[:: W.shape[0] + 1] += degrees
@@ -222,7 +221,7 @@ def objective(K, Z: np.ndarray, F: np.ndarray, cfg: SpcConfig) -> float:
     0.5 * tr(K + Z^T K Z) - alpha * tr(K Z) + beta * tr(F^T L F)
     + gamma * ||Z||_F^2, with L the Laplacian of the symmetrized Z.
     """
-    K = kernel_values(K)
+    K = as_kernel(K).values
     Z = np.asarray(Z, dtype=float)
     KZ = K @ Z
     L = build_laplacian(Z)
@@ -245,8 +244,7 @@ def extract_labels(Z: np.ndarray, threshold: Optional[float] = None) -> tuple[np
         threshold = ZERO_EIG_TOL * Z.max() if Z.size and Z.max() > 0 else 0.0
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
-    W = 0.5 * (Z + Z.T)
-    count, raw = connected_components(csr_array(W > threshold), directed=False)
+    count, raw = connected_components(csr_array(_symmetric_part(Z) > threshold), directed=False)
     return Partition.from_labels(raw).labels, int(count)
 
 
@@ -287,17 +285,17 @@ def alternate(
     kernel_step(h) returns the weights and the (exactly symmetric) combined
     kernel values of the following iteration, which is factorized when that
     iteration starts, so never for the kernel returned after the last one.
-    K is symmetrized here, once; the bank's kernels must already be exactly
-    symmetric (see kernel_costs). No n x n right-hand side is ever solved:
-    A^{-1}K comes from spd_inverse.
+    K enters through as_kernel, the bank must have passed as_bank. No n x n
+    right-hand side is ever solved: A^{-1}K comes from spd_inverse.
     """
-    # the identities need K exactly symmetric; symmetrize also rejects non-square K
-    K = symmetrize(kernel_values(K))
-    n = K.shape[0]
+    # only K's values stay bound, so mSPC frees its first combined kernel
+    K = as_kernel(K)
+    n = K.order
     if cfg.clusters > n:
         raise ValueError(f"clusters={cfg.clusters} exceeds the number of samples {n}")
     if bank is None:
         bank, weights = [K], np.ones(1)
+    K = K.values
 
     factor = None
     Z = init_graph(n, cfg.seed)
@@ -382,26 +380,11 @@ def _inner(A: np.ndarray, B: np.ndarray) -> float:
     return float(ddot(np.ravel(A), np.ravel(B)))
 
 
-def _check_bank(bank: list[KernelMatrix]) -> int:
-    if len(bank) == 0:
-        raise ValueError("kernel bank is empty")
-    shapes = [kernel_values(K).shape for K in bank]
-    if len(shapes[0]) != 2 or shapes[0][0] != shapes[0][1]:
-        raise ValueError(f"kernel 0 has shape {shapes[0]}, expected a square matrix")
-    n = shapes[0][0]
-    for i, shape in enumerate(shapes):
-        if shape != (n, n):
-            raise ValueError(
-                f"kernel {i} has shape {shape}, expected ({n}, {n}) to match kernel 0"
-            )
-    return n
-
-
 def kernel_costs(bank: list[KernelMatrix], Z: np.ndarray, alpha: float) -> np.ndarray:
     """Per-kernel fit costs h_i = tr(K^i - 2*alpha*K^i Z + Z^T K^i Z).
 
-    Every K^i must be exactly symmetric, as every KernelMatrix is; a bare
-    array is taken at its word. Then both traces are Frobenius inner
+    The kernels enter through as_bank, so every K^i is exactly symmetric (a
+    bare array costs as its symmetric part). Then both traces are Frobenius inner
     products with matrices that do not depend on the kernel: tr(K Z) =
     <K, Z'> = <K, Z>, and tr(Z'KZ) = <K, ZZ'> = <K, 2*triu(ZZ') - diag(ZZ')>
     because ZZ' is symmetric too. So h_i = tr(K^i) + <K^i, M> with
@@ -409,7 +392,7 @@ def kernel_costs(bank: list[KernelMatrix], Z: np.ndarray, alpha: float) -> np.nd
     triangle of ZZ' (dsyrk, half a product) and one ddot pass per kernel.
     The cost is linear in K, so sum_i w_i h_i is the cost of sum_i w_i K^i.
     """
-    n = _check_bank(bank)
+    bank, n = as_bank(bank)
     Z = np.asarray(Z, dtype=float)
     if Z.shape != (n, n):
         raise ValueError(f"graph has shape {Z.shape}, kernels have order {n}")
@@ -420,8 +403,7 @@ def kernel_costs(bank: list[KernelMatrix], Z: np.ndarray, alpha: float) -> np.nd
     M -= 2.0 * alpha * Z
     h = np.empty(len(bank))
     for i, K in enumerate(bank):
-        vals = kernel_values(K)
-        h[i] = np.trace(vals) + _inner(vals, M)
+        h[i] = np.trace(K.values) + _inner(K.values, M)
     return h
 
 

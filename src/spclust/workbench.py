@@ -40,7 +40,7 @@ from .kernels import (
     normalize_kernel,
     polynomial_kernel,
 )
-from .metrics import Partition, accuracy, nmi, purity
+from .metrics import Partition, _check_integer_labels, accuracy, nmi, purity
 from .mkl import run_mspc
 from .spc import SpcConfig, _check_field_types, run_spc
 
@@ -208,13 +208,7 @@ def save_labels(labels, path: str) -> None:
     labels = np.asarray(labels).ravel()
     if labels.size == 0:
         raise ValueError(f"{path}: no labels to write; a label file holds at least one")
-    if labels.dtype.kind not in "biuf":
-        raise ValueError(f"{path}: labels must be integers, got dtype {labels.dtype}")
-    if labels.dtype.kind == "f":
-        bad = np.flatnonzero(~(np.isfinite(labels) & (np.trunc(labels) == labels)))
-        if bad.size:
-            i = int(bad[0])
-            raise ValueError(f"{path}: label {i} is {float(labels[i])!r}, not an integer")
+    _check_integer_labels(labels, f"{path}: ")
     _atomic_write(path, [f"{int(v)}\n" for v in labels])
 
 

@@ -9,6 +9,7 @@ from spclust import (
     Dataset,
     KernelMatrix,
     KernelSpec,
+    as_kernel,
     build_standard_bank,
     gaussian_kernel,
     generate_two_moons,
@@ -88,6 +89,16 @@ def test_polynomial_small_case():
         polynomial_kernel(X, 1.0, 0)
 
 
+def test_polynomial_refuses_a_fractional_exponent():
+    X = Dataset(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    for b in (2.7, 0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="exponent b must be an integer >= 1"):
+            polynomial_kernel(X, 1.0, b)
+    K = polynomial_kernel(X, 1.0, 2.0)
+    assert K.spec.b == 2 and isinstance(K.spec.b, int)
+    assert np.array_equal(K.values, polynomial_kernel(X, 1.0, 2).values)
+
+
 def test_polynomial_overflow_is_an_error():
     X = Dataset(np.full((1, 2), 1e80))
     with pytest.raises(ValueError, match="non-finite"):
@@ -115,6 +126,33 @@ def test_kernel_matrix_exactly_symmetric():
     for values in (np.zeros((3, 4)), np.zeros(3)):
         with pytest.raises(ValueError, match="square kernel matrix"):
             KernelMatrix(values)
+
+
+def test_as_kernel_returns_average():
+    A = np.array([[1.0, 2.0], [0.0, 1.0]])
+    with pytest.warns(UserWarning, match="asymmetry"):
+        K = as_kernel(A)
+    assert isinstance(K, KernelMatrix)
+    assert np.array_equal(K.values, np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+
+def test_as_kernel_quiet_below_tolerance():
+    A = np.array([[1.0, 1.0 + 1e-12], [1.0, 1.0]])
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        as_kernel(A)
+
+
+def test_as_kernel_rejects_nonsquare():
+    with pytest.raises(ValueError, match="square"):
+        as_kernel(np.zeros((2, 3)))
+
+
+def test_as_kernel_trusts_a_kernel_matrix():
+    K = KernelMatrix(np.random.default_rng(3).random((5, 5)))
+    assert as_kernel(K) is K
 
 
 def test_normalize_kernel_min_max():

@@ -25,6 +25,27 @@ def test_partition_validation():
 def test_from_labels_first_seen_relabeling():
     p = Partition.from_labels([5, 5, 2, 7, 2])
     assert np.array_equal(p.labels, [0, 0, 1, 2, 1])
+    # against the first-seen dictionary, on labels with gaps and negatives
+    values = np.random.default_rng(0).integers(-20, 20, size=200)
+    remap = {}
+    want = [remap.setdefault(int(v), len(remap)) for v in values]
+    assert np.array_equal(Partition.from_labels(values).labels, want)
+
+
+def test_from_labels_refuses_non_integer_values():
+    # truncation used to merge 1.9 and 1.1 and score [0.2, 0.7] at 0.5
+    for values, index in (([0.2, 0.7], 0), ([1.9, 1.1, 0.4], 0), ([0.0, np.nan], 1), ([1.0, np.inf], 1)):
+        with pytest.raises(ValueError, match=f"label {index} is .*not an integer"):
+            Partition.from_labels(values)
+    with pytest.raises(ValueError, match="not an integer"):
+        accuracy([0.2, 0.7], [0, 1])
+    with pytest.raises(ValueError, match="not an integer"):
+        nmi([1.9, 1.1, 0.4], [0, 1, 2])
+    with pytest.raises(ValueError, match="must be integers"):
+        Partition.from_labels(["a", "b"])
+    # integral floats and booleans still count as integers
+    assert np.array_equal(Partition.from_labels([2.0, -1.0, 2.0]).labels, [0, 1, 0])
+    assert np.array_equal(Partition.from_labels(np.array([True, False])).labels, [0, 1])
 
 
 # --- frozen metric values --------------------------------------------------------

@@ -127,6 +127,24 @@ def test_asymmetric_bare_kernel_is_symmetrized_once():
         assert h == pytest.approx(naive, rel=1e-10)
 
 
+def test_bare_asymmetric_kernel_counts_as_its_symmetric_part():
+    # kernel_costs and combine_kernels take a bare array through as_kernel:
+    # one warning, then the cost and the sum of its symmetric part
+    rng = np.random.default_rng(0)
+    A, Z = rng.random((8, 8)), rng.random((8, 8))
+    S = 0.5 * (A + A.T)
+    naive = np.trace(S) - 2 * 2.0 * np.trace(S @ Z) + np.trace(Z.T @ S @ Z)
+    with pytest.warns(UserWarning, match="asymmetry") as record:
+        h = kernel_costs([A], Z, 2.0)
+    assert len(record) == 1
+    assert h[0] == pytest.approx(naive, rel=1e-12)
+    assert h[0] == pytest.approx(21.51, abs=5e-3)
+    with pytest.warns(UserWarning, match="asymmetry") as record:
+        H = combine_kernels([A], [1.0])
+    assert len(record) == 1
+    assert np.array_equal(H.values, S)
+
+
 def test_weighted_costs_equal_combined_cost():
     # sum_i w_i h_i equals the cost of the combined kernel, exercised with
     # feasible random weights

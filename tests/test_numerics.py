@@ -1,9 +1,12 @@
 import ast
+import importlib
 import inspect
+import pkgutil
 
 import numpy as np
 import pytest
 
+import spclust
 import spclust.mkl
 import spclust.numerics
 import spclust.spc
@@ -16,7 +19,6 @@ from spclust.numerics import (
     spd_inverse,
     spd_solve,
     symmetric_eigen,
-    symmetrize,
 )
 
 # Laplacian of the 3-node path graph has spectrum {0, 1, 3}
@@ -137,27 +139,6 @@ def test_only_the_lower_triangle_is_read():
         spd_factorize(np.full((2, 2), np.nan))
 
 
-def test_symmetrize_returns_average():
-    A = np.array([[1.0, 2.0], [0.0, 1.0]])
-    with pytest.warns(UserWarning, match="asymmetry"):
-        S = symmetrize(A)
-    assert np.array_equal(S, np.array([[1.0, 1.0], [1.0, 1.0]]))
-
-
-def test_symmetrize_quiet_below_tolerance():
-    A = np.array([[1.0, 1.0 + 1e-12], [1.0, 1.0]])
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        symmetrize(A)
-
-
-def test_symmetrize_rejects_nonsquare():
-    with pytest.raises(ValueError, match="square"):
-        symmetrize(np.zeros((2, 3)))
-
-
 def test_check_finite_names_entry():
     A = np.zeros((3, 3))
     A[1, 2] = np.nan
@@ -246,3 +227,28 @@ def test_loop_functions_keep_the_one_pool_rule():
         for name in names:
             tree = ast.parse(inspect.getsource(getattr(module, name)))
             assert not numpy_blas_uses(tree), (module.__name__, name)
+
+
+def self_transpose_sums(tree):
+    """Line numbers in an AST where an expression is added to its own .T."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Add)
+        and any(
+            isinstance(b, ast.Attribute) and b.attr == "T" and ast.dump(b.value) == ast.dump(a)
+            for a, b in ((node.left, node.right), (node.right, node.left))
+        )
+    ]
+
+
+def test_one_routine_forms_the_symmetric_part():
+    # (A + A')/2 has one definition, numerics._symmetric_part; every other
+    # function calls it, so the rule for exact symmetry lives in one place
+    for info in pkgutil.iter_modules(spclust.__path__):
+        module = importlib.import_module(f"spclust.{info.name}")
+        for fn in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(fn, ast.FunctionDef) and (module, fn.name) != (spclust.numerics, "_symmetric_part"):
+                assert not self_transpose_sums(fn), (module.__name__, fn.name)
+    assert self_transpose_sums(ast.parse(inspect.getsource(spclust.numerics._symmetric_part)))

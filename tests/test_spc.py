@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -421,6 +421,20 @@ def test_solver_deterministic():
     assert np.array_equal(r1.labels, r2.labels)
     assert np.array_equal(r1.graph, r2.graph)
     assert r1.trace.objective == r2.trace.objective
+
+
+def test_bare_array_and_kernel_matrix_give_the_same_run():
+    # a KernelMatrix enters as it is and a bare copy of its (exactly
+    # symmetric) values is symmetrized once, to the same bits
+    X = blob_dataset()
+    K = sp.gaussian_kernel(X, 1.0)
+    cfg = sp.SpcConfig(alpha=3.0, beta=2.0, gamma=0.8, clusters=2, max_iters=20, seed=3)
+    r1, r2 = sp.run_spc(K, cfg), sp.run_spc(K.values.copy(), cfg)
+    assert np.array_equal(r1.labels, r2.labels)
+    assert np.array_equal(r1.graph.view(np.uint64), r2.graph.view(np.uint64))
+    for f in fields(r1.trace):
+        if f.name != "wall_time":
+            assert getattr(r1.trace, f.name) == getattr(r2.trace, f.name), f.name
 
 
 def test_adaptive_beta_bookkeeping():
