@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .numerics import _square, _symmetric_part, check_finite
+from .numerics import _check_integer_labels, _square, _symmetric_part, check_finite
 
 # Standard bank layout: seven gaussian scales (ascending), four polynomial
 # (a, b) pairs in lexicographic order, one linear kernel. Order is fixed so
@@ -50,7 +50,7 @@ class Dataset:
             raise ValueError(f"data matrix must be 2-D, got shape {self.values.shape}")
         check_finite(self.values, "data matrix")
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=int)
+            self.labels = _check_integer_labels(self.labels).astype(int)
             if self.labels.shape != (self.n_samples,):
                 raise ValueError(
                     f"expected {self.n_samples} labels, got {self.labels.shape}"

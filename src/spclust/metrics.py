@@ -17,6 +17,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .kernels import Dataset
+from .numerics import _check_integer_labels
 
 
 @dataclass
@@ -53,20 +54,6 @@ class Partition:
     @property
     def n(self) -> int:
         return self.labels.size
-
-
-def _check_integer_labels(labels, where: str = "") -> np.ndarray:
-    """labels as an array; a non-integer (1.7, nan, "a") raises ValueError naming its index."""
-    labels = np.asarray(labels)
-    if labels.dtype.kind not in "biuf":
-        raise ValueError(f"{where}labels must be integers, got dtype {labels.dtype}")
-    if labels.dtype.kind == "f":
-        flat = labels.ravel()
-        bad = np.flatnonzero(~(np.isfinite(flat) & (np.trunc(flat) == flat)))
-        if bad.size:
-            i = int(bad[0])
-            raise ValueError(f"{where}label {i} is {float(flat[i])!r}, not an integer")
-    return labels
 
 
 def _as_partition(p) -> Partition:

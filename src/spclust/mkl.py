@@ -25,15 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import KernelMatrix, as_bank
-from .spc import ClusteringResult, SpcConfig, alternate, kernel_costs
+from .spc import _BLOCK_ROWS, ClusteringResult, SpcConfig, alternate, kernel_costs
 
 # tolerance on |sum(sqrt(w)) - 1| when validating caller-supplied weights
 FEASIBILITY_TOL = 1e-8
-
-# rows of H summed over the whole bank at a time; at n = 1000 one block of H,
-# its scratch and one kernel's block take 1.5 MB, small enough for a 2 MB L2
-# (32 and 64 rows measured alike, 16 and 128 slower)
-_BLOCK_ROWS = 64
 
 
 @dataclass

@@ -20,6 +20,9 @@ call competes with it. On a 2-core host, solving for the 3 bottom
 eigenpairs of an order-1000 Laplacian took 62 ms after a pause, 60 ms right
 after a scipy ``dgemm``, 106 ms right after a numpy ``K @ Z`` and 139 ms
 right after a numpy ``np.linalg.norm`` (median of 10 each).
+
+The integer-label check that Dataset, Partition and the label files share
+lives here too: metrics imports kernels, so it cannot supply it to Dataset.
 """
 
 from __future__ import annotations
@@ -73,6 +76,20 @@ def check_finite(A: np.ndarray, name: str = "matrix") -> None:
     if mask.any():
         idx = tuple(int(k) for k in np.argwhere(mask)[0])
         raise ValueError(f"{name} has non-finite entry at index {idx}")
+
+
+def _check_integer_labels(labels, where: str = "") -> np.ndarray:
+    """labels as an array; a non-integer (1.7, nan, "a") raises ValueError naming its index."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "biuf":
+        raise ValueError(f"{where}labels must be integers, got dtype {labels.dtype}")
+    if labels.dtype.kind == "f":
+        flat = labels.ravel()
+        bad = np.flatnonzero(~(np.isfinite(flat) & (np.trunc(flat) == flat)))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"{where}label {i} is {float(flat[i])!r}, not an integer")
+    return labels
 
 
 def _square(A: np.ndarray, name: str = "matrix") -> np.ndarray:

@@ -36,6 +36,17 @@ The loop lives here once, in :func:`alternate`. It runs on a weighted bank
 of kernels; SPC is one kernel with weight 1. The multiple-kernel solver in
 :mod:`spclust.mkl` supplies a kernel step that turns the costs of each
 projected graph into new weights and a newly combined kernel.
+
+Memory: the n x n arrays that live through an iteration are K, the Cholesky
+factor of A, A^{-1}K and Z. Besides them the loop holds one transient of its
+own (the Laplacian, the unprojected graph or the ZZ' triangle) and at most
+one more array: the eigensolver's copy of the Laplacian, or the projected
+graph that becomes the next Z. So the traced peak is about 5 n^2 floats
+beyond the kernel (6 beyond an mSPC bank, whose combined kernel is one
+more). Scaled sums into an n x n array run in 64-row blocks
+(:func:`_add_scaled`), the old Z takes the step Z_new - Z, and each buffer
+is released as soon as it is dead: the factor and A^{-1}K before the kernel
+step and before the labels are read.
 """
 
 from __future__ import annotations
@@ -69,6 +80,12 @@ ZERO_EIG_TOL = 1e-8
 
 # adaptive beta stops after this many doublings/halvings
 MAX_BETA_ADJUSTMENTS = 30
+
+# rows of an n x n update done at a time (kernel_costs, the graph step and
+# mkl.combine_kernels); at n = 1000 a block of the target, its scratch and a
+# block of the operand take 1.5 MB, small enough for a 2 MB L2 (32 and 64
+# rows measured alike in combine_kernels, 16 and 128 slower)
+_BLOCK_ROWS = 64
 
 # values each field annotation accepts; a bool never counts as a number
 _FIELD_KINDS = {"float": numbers.Real, "int": numbers.Integral, "bool": bool, "str": str}
@@ -251,7 +268,8 @@ def extract_labels(Z: np.ndarray, threshold: Optional[float] = None) -> tuple[np
 def init_graph(n: int, seed: int) -> np.ndarray:
     """Random initial affinity: uniform [0, 1) entries, columns summing to 1."""
     Z = np.random.default_rng(seed).random((n, n))
-    return Z / Z.sum(axis=0, keepdims=True)
+    Z /= Z.sum(axis=0, keepdims=True)
+    return Z
 
 
 def run_spc(K, cfg: SpcConfig) -> ClusteringResult:
@@ -287,6 +305,11 @@ def alternate(
     iteration starts, so never for the kernel returned after the last one.
     K enters through as_kernel, the bank must have passed as_bank. No n x n
     right-hand side is ever solved: A^{-1}K comes from spd_inverse.
+
+    The n x n arrays alive through an iteration are K, the factor, A^{-1}K
+    and Z, plus at any time one transient and at most one array made from it
+    (see the module docstring). The blocked and in-place updates give the
+    bits of the plain whole-matrix expressions.
     """
     # only K's values stay bound, so mSPC frees its first combined kernel
     K = as_kernel(K)
@@ -309,7 +332,7 @@ def alternate(
     for _ in range(cfg.max_iters):
         tic = time.perf_counter()
         if factor is None:
-            factor = spd_factorize(K + 2.0 * cfg.gamma * np.eye(n))
+            factor = spd_factorize(_ridged(K, 2.0 * cfg.gamma))
             AK = spd_inverse(factor)
             AK *= -2.0 * cfg.gamma
             AK.flat[:: n + 1] += 1.0
@@ -332,12 +355,14 @@ def alternate(
         spectral = _spectral(Z_unproj, F, s)
         obj_z = 0.5 * (float(np.trace(K)) - cfg.alpha * _inner(K, Z_unproj) + beta * spectral)
         Z_new = project_nonneg(Z_unproj)
+        del Z_unproj
         new_sq = _inner(Z_new, Z_new)
         h = kernel_costs(bank, Z_new, cfg.alpha)
         obj = 0.5 * _inner(weights, h) + cfg.gamma * new_sq + beta * _spectral(Z_new, F, s)
 
-        diff = Z_new - Z
-        diff_norm = math.sqrt(_inner(diff, diff))
+        # the old graph is dead once its successor exists, so it takes the step
+        np.subtract(Z_new, Z, out=Z)
+        diff_norm = math.sqrt(_inner(Z, Z))
         if z_sq > 0:
             rel = diff_norm / math.sqrt(z_sq)
         else:
@@ -345,8 +370,8 @@ def alternate(
         Z, z_sq = Z_new, new_sq
 
         if kernel_step is not None:
+            factor = AK = None
             weights, K = kernel_step(h)
-            factor = None
 
         trace.objective.append(float(obj))
         trace.objective_after_embedding.append(float(obj_f))
@@ -360,6 +385,7 @@ def alternate(
             tol_reached = True
             break
 
+    factor = AK = None
     labels, component_count = extract_labels(Z)
     return ClusteringResult(
         labels=labels,
@@ -400,7 +426,7 @@ def kernel_costs(bank: list[KernelMatrix], Z: np.ndarray, alpha: float) -> np.nd
     M = gram_upper(Z)
     M *= 2.0
     M.flat[:: n + 1] *= 0.5
-    M -= 2.0 * alpha * Z
+    _add_scaled(M, Z, -2.0 * alpha)
     h = np.empty(len(bank))
     for i, K in enumerate(bank):
         h[i] = np.trace(K.values) + _inner(K.values, M)
@@ -432,4 +458,28 @@ def _graph_step(
     ones = np.ones_like(s)
     solved = spd_solve(factor, np.column_stack([s, ones, F]))
     weights = np.concatenate([[-0.5 * beta, -0.5 * beta], np.full(F.shape[1], beta)])
-    return alpha * AK + product(solved * weights, np.column_stack([ones, s, F]), trans_b=True)
+    Z = product(solved * weights, np.column_stack([ones, s, F]), trans_b=True)
+    _add_scaled(Z, AK, alpha)
+    return Z
+
+
+def _ridged(K: np.ndarray, shift: float) -> np.ndarray:
+    """K + shift*I in one new buffer, with the bits of K + shift * np.eye(n).
+
+    Adding 0.0 off the diagonal turns a -0.0 into +0.0, as that sum does.
+    """
+    A = np.add(K, 0.0)
+    A.flat[:: A.shape[0] + 1] += shift
+    return A
+
+
+def _add_scaled(out: np.ndarray, a: np.ndarray, scale: float) -> None:
+    """out += scale * a, _BLOCK_ROWS rows at a time through one block-sized scratch.
+
+    Per entry it is the multiply-then-add of out + scale * a, so the bits are
+    the same, and no n x n temporary is made.
+    """
+    scratch = np.empty((min(_BLOCK_ROWS, out.shape[0]), out.shape[1]))
+    for lo in range(0, out.shape[0], _BLOCK_ROWS):
+        block = out[lo : lo + _BLOCK_ROWS]
+        block += np.multiply(a[lo : lo + _BLOCK_ROWS], scale, out=scratch[: block.shape[0]])

@@ -24,6 +24,7 @@ import io
 import itertools
 import os
 import json
+import math
 import time
 from array import array
 from dataclasses import dataclass, field, fields as dataclass_fields
@@ -40,8 +41,9 @@ from .kernels import (
     normalize_kernel,
     polynomial_kernel,
 )
-from .metrics import Partition, _check_integer_labels, accuracy, nmi, purity
+from .metrics import Partition, accuracy, nmi, purity
 from .mkl import run_mspc
+from .numerics import _check_integer_labels
 from .spc import SpcConfig, _check_field_types, run_spc
 
 REPORT_VERSION = "spc-report/1"
@@ -276,8 +278,8 @@ def generate_two_moons(n: int, noise_sigma: float = 0.08, seed: int = 0) -> Data
     """
     if n < 2 or n % 2:
         raise ValueError(f"n must be even and >= 2, got {n}")
-    if noise_sigma < 0:
-        raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     half = n // 2
     theta = np.linspace(0.0, np.pi, half)
     upper = np.stack([np.cos(theta), np.sin(theta)])

@@ -149,6 +149,12 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_gen_moons_refuses_nan_noise(tmp_path, capsys):
+    assert main(["gen-moons", "--n", "20", "--noise", "nan", "--out", str(tmp_path)]) == 1
+    assert "noise_sigma" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
 def test_eval_missing_file_exits_one(tmp_path, capsys):
     assert main(["eval", str(tmp_path / "a.labels"), str(tmp_path / "b.labels")]) == 1
     assert "error:" in capsys.readouterr().err

@@ -29,6 +29,17 @@ def test_dataset_shape_and_labels():
         Dataset(np.zeros(5))
 
 
+def test_dataset_refuses_non_integer_labels():
+    # a fractional or non-finite label is refused, not truncated; integral
+    # floats are kept as the integers they stand for
+    with pytest.raises(ValueError, match=r"label 0 is 0\.2, not an integer"):
+        Dataset(np.zeros((2, 3)), labels=[0.2, 1.7, 1.0])
+    with pytest.raises(ValueError, match="label 1 is nan"):
+        Dataset(np.zeros((2, 2)), labels=[0.0, np.nan])
+    X = Dataset(np.zeros((2, 3)), labels=[0.0, 1.0, 1.0])
+    assert X.labels.dtype.kind == "i" and X.labels.tolist() == [0, 1, 1]
+
+
 def test_pairwise_sq_dist_hand_case():
     X = Dataset(np.array([[0.0, 3.0], [0.0, 4.0]]))
     D = pairwise_sq_dist(X)

@@ -188,6 +188,8 @@ LOOP_FUNCTIONS = {
         "build_laplacian",
         "update_embedding",
         "project_nonneg",
+        "_ridged",
+        "_add_scaled",
     ),
     spclust.mkl: ("combine_kernels", "update_weights"),
 }

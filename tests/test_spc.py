@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import spclust as sp
 import spclust.spc as spc_module
+from spclust.numerics import gram_upper, product
 from spclust.spc import ZERO_EIG_TOL, init_graph
 
 PATH3_LAPLACIAN = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
@@ -148,6 +150,35 @@ def test_graph_column_without_distance_pull():
     z = sp.update_graph_column(f, K[2], np.zeros(n), cfg)
     expect = np.linalg.solve(K + 2 * np.eye(n), 2.0 * K[2])
     assert np.allclose(z, expect, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [130, 40])
+def test_blocked_updates_equal_the_plain_expressions_bit_for_bit(n):
+    # the graph step adds alpha*A^{-1}K and kernel_costs subtracts 2*alpha*Z
+    # in 64-row blocks (two full blocks and a partial one at n=130, one
+    # partial block at n=40); per entry that is the plain expression's
+    # multiply-then-add, so the bits must be the same
+    rng = np.random.default_rng(n)
+    alpha, beta, gamma, c = 3.7, 0.9, 1.3, 3
+    K = random_psd_kernel(rng, n)
+    factor = sp.spd_factorize(K + 2 * gamma * np.eye(n))
+    AK = rng.standard_normal((n, n))
+    F = rng.standard_normal((n, c))
+    s = np.sum(F * F, axis=1)
+    ones = np.ones(n)
+    solved = sp.spd_solve(factor, np.column_stack([s, ones, F]))
+    weights = np.concatenate([[-0.5 * beta, -0.5 * beta], np.full(c, beta)])
+    P = product(solved * weights, np.column_stack([ones, s, F]), trans_b=True)
+    got = spc_module._graph_step(factor, AK, F, s, alpha, beta)
+    assert np.array_equal(got.view(np.uint64), (alpha * AK + P).view(np.uint64))
+
+    Z = rng.standard_normal((n, n))
+    bank = [sp.KernelMatrix(random_psd_kernel(rng, n)) for _ in range(3)]
+    M = gram_upper(Z) * 2.0
+    M.flat[:: n + 1] *= 0.5
+    M = M - 2.0 * alpha * Z
+    expect = [np.trace(Ki.values) + spc_module._inner(Ki.values, M) for Ki in bank]
+    assert np.array_equal(sp.kernel_costs(bank, Z, alpha).view(np.uint64), np.array(expect).view(np.uint64))
 
 
 def test_project_nonneg():
@@ -411,6 +442,32 @@ def test_loop_arithmetic_matches_reference_functions(monkeypatch):
         second = sp.run_spc(K, replace(cfg, max_iters=2))
         assert second.trace.iterations == 2 and len(steps) == 2
         assert_last_iteration_matches_reference(K, first.graph, steps[-1], second, cfg)
+
+
+@pytest.mark.parametrize("solver", ["spc", "mspc"])
+def test_loop_memory_budget(solver):
+    # beyond the kernel (spc) or the bank (mspc, which adds its combined
+    # kernel), the loop keeps the Cholesky factor, A^{-1}K and Z alive across
+    # iterations, plus two n x n transients at a time: the Laplacian and the
+    # eigensolver's copy of it, or the projected graph and the ZZ' triangle.
+    # That reads 5.26 and 6.25 n^2; a loop that keeps stale bindings and
+    # builds its sums in whole-matrix temporaries read 8.03 and 9.03
+    n = 300
+    X = sp.generate_two_moons(n, noise_sigma=0.08, seed=0)
+    if solver == "spc":
+        run, data, budget = sp.run_spc, sp.normalize_kernel(sp.gaussian_kernel(X, 0.01)), 5.5
+        cfg = sp.SpcConfig(alpha=4.0, beta=0.125, gamma=1.0, clusters=2, adapt_beta=True, max_iters=5)
+    else:
+        run, data, budget = sp.run_mspc, sp.build_standard_bank(X), 6.5
+        cfg = sp.SpcConfig(alpha=1.0, beta=0.5, gamma=3.0, clusters=2, adapt_beta=True, max_iters=5)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run(data, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - start) / (8 * n * n) <= budget
 
 
 def test_solver_deterministic():

@@ -295,6 +295,12 @@ def test_two_moons_seeded_and_validated():
         sp.generate_two_moons(8, -0.1)
 
 
+def test_two_moons_refuses_non_finite_noise():
+    for noise in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="noise_sigma must be finite"):
+            sp.generate_two_moons(8, noise)
+
+
 def test_resolve_dataset_sources(tmp_path):
     X = resolve_dataset("moons:n=10,noise=0.0,seed=2")
     assert X.n_samples == 10
