@@ -25,7 +25,7 @@ cfg = sp.SpcConfig(
 )
 result, state = sp.run_mspc(bank, cfg)
 
-print(f"converged: {result.converged} after {state.iterations} iterations")
+print(f"converged: {result.converged} after {result.trace.iterations} iterations")
 print(f"sum of sqrt(weights): {np.sum(np.sqrt(state.weights)):.12f}  (constraint = 1)")
 
 order = np.argsort(state.weights)[::-1]

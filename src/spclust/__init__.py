@@ -40,7 +40,7 @@ from .spc import (
     project_nonneg,
     run_spc,
     update_embedding,
-    update_graph_column,
+    update_graph,
 )
 from .workbench import (
     ExperimentConfig,
@@ -93,7 +93,7 @@ __all__ = [
     "project_nonneg",
     "run_spc",
     "update_embedding",
-    "update_graph_column",
+    "update_graph",
     "ExperimentConfig",
     "RunReport",
     "emit_scatter_svg",

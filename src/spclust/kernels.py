@@ -95,7 +95,6 @@ class KernelMatrix:
 
     values: np.ndarray
     spec: Optional[KernelSpec] = None
-    normalized: bool = False
 
     def __post_init__(self):
         # construction guarantees exact symmetry, in a new buffer
@@ -201,7 +200,6 @@ def _normalized(raw: np.ndarray, spec: Optional[KernelSpec]) -> KernelMatrix:
         raise ValueError("kernel is constant (max == min); cannot normalize")
     vals -= lo
     vals /= hi - lo
-    K.normalized = True
     return K
 
 

@@ -38,7 +38,6 @@ class MklState:
     weights: np.ndarray
     combined: KernelMatrix
     costs: np.ndarray
-    iterations: int
 
 
 def combine_kernels(
@@ -122,7 +121,6 @@ def run_mspc(bank: list[KernelMatrix], cfg: SpcConfig) -> tuple[ClusteringResult
         weights=w,
         combined=combine_kernels(bank, w, require_feasible=False),
         costs=np.full(r, np.nan),
-        iterations=0,
     )
 
     def kernel_step(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -131,6 +129,4 @@ def run_mspc(bank: list[KernelMatrix], cfg: SpcConfig) -> tuple[ClusteringResult
         state.combined = combine_kernels(bank, state.weights)
         return state.weights, state.combined.values
 
-    result = alternate(state.combined, cfg, bank, w, kernel_step)
-    state.iterations = result.trace.iterations
-    return result, state
+    return alternate(state.combined, cfg, bank, w, kernel_step), state

@@ -11,13 +11,14 @@ Each outer iteration alternates:
 1. embedding step (:func:`update_embedding`): F <- the c bottom
    eigenvectors of the Laplacian of Z, from one eigensolve that also
    returns the c+1 smallest eigenvalues, whose zeros the beta anneal counts;
-2. graph step: every column of Z gets the closed-form minimizer of the
-   ridge-regularized quadratic, A^{-1} (alpha*K - (beta/2)*P) with
-   A = K + 2*gamma*I and P the squared embedding distances. P is
-   s 1' + 1 s' - 2 F F' with s = rowsum(F * F), so the step is alpha*A^{-1}K
-   plus a rank-(c+2) update that needs only an n x (c+2) solve per
-   iteration. A^{-1}K = I - 2*gamma*A^{-1} is formed once per factorization
-   of A, from the inverse that the Cholesky factor gives (LAPACK dpotri);
+2. graph step (:func:`update_graph`): every column of Z gets the
+   closed-form minimizer of the ridge-regularized quadratic,
+   A^{-1} (alpha*K - (beta/2)*P) with A = K + 2*gamma*I and P the squared
+   embedding distances. P is s 1' + 1 s' - 2 F F' with s = rowsum(F * F),
+   so the step is alpha*A^{-1}K plus a rank-(c+2) update that needs only an
+   n x (c+2) solve per iteration. A^{-1}K = I - 2*gamma*A^{-1} is formed
+   once per factorization of A, from the inverse that the Cholesky factor
+   gives (LAPACK dpotri);
 3. projection: Z <- max(Z, 0).
 
 The objective diagnostics come from exact identities rather than from
@@ -32,10 +33,12 @@ which trusts a KernelMatrix without a copy and symmetrizes a bare array, and
 every later matrix (each combined kernel, A, the Laplacian, ZZ') is exactly
 symmetric by construction, so none is symmetrized again.
 
-The loop lives here once, in :func:`alternate`. It runs on a weighted bank
-of kernels; SPC is one kernel with weight 1. The multiple-kernel solver in
-:mod:`spclust.mkl` supplies a kernel step that turns the costs of each
-projected graph into new weights and a newly combined kernel.
+The loop lives here once, in :func:`alternate`. It calls each step above
+through its module-level name and runs no other F- or Z-step. It runs on a
+weighted bank of kernels; SPC is one kernel with weight 1. The
+multiple-kernel solver in :mod:`spclust.mkl` supplies a kernel step that
+turns the costs of each projected graph into new weights and a newly
+combined kernel.
 
 Memory: the n x n arrays that live through an iteration are K, the Cholesky
 factor of A, A^{-1}K and Z. Besides them the loop holds one transient of its
@@ -94,14 +97,16 @@ _FIELD_KINDS = {"float": numbers.Real, "int": numbers.Integral, "bool": bool, "s
 def _check_field_types(config) -> None:
     """Check every field of a config dataclass against its annotation.
 
-    float fields take any real number and are stored as float, int fields
-    take any integer, bool and str fields only bool and str.
+    float fields take any finite real number and are stored as float, int
+    fields take any integer, bool and str fields only bool and str.
     """
     for f in fields(config):
         value = getattr(config, f.name)
         if not isinstance(value, _FIELD_KINDS[f.type]) or isinstance(value, bool) != (f.type == "bool"):
             raise ValueError(f"config field {f.name!r} must be {f.type}, got {value!r}")
         if f.type == "float":
+            if not math.isfinite(value):
+                raise ValueError(f"config field {f.name!r} must be finite, got {value!r}")
             object.__setattr__(config, f.name, float(value))
 
 
@@ -208,23 +213,33 @@ def update_embedding(L: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
     return eig.vectors[:, :c], eig.values
 
 
-def update_graph_column(
-    f: SpdFactorization, k: np.ndarray, d: np.ndarray, cfg: SpcConfig
+def update_graph(
+    factor: SpdFactorization, AK: np.ndarray, F: np.ndarray, alpha: float, beta: float
 ) -> np.ndarray:
-    """Closed-form unconstrained minimizer for affinity columns.
+    """The Z-step: the unprojected graph A^{-1} (alpha*K - (beta/2)*P).
 
-    Solves (K + 2*gamma*I) z = alpha * k - (beta / 2) * d using the
-    prefactored left-hand side, where k is kernel column i and d the squared
-    embedding distances from sample i. k and d may also be n x m blocks of
-    such columns, solved at once. Nonnegativity is applied later by the caller.
+    factor is the Cholesky factor of A = K + 2*gamma*I, AK is A^{-1} K and
+    P holds the squared distances between the rows of the embedding F, so
+    column i is the closed-form minimizer of the ridge-regularized quadratic
+    for sample i. With s = rowsum(F * F), A^{-1} P = (A^{-1}s) 1' +
+    (A^{-1}1) s' - 2 (A^{-1}F) F' is a rank-(c+2) product, and only an
+    n x (c+2) block is solved. Returns one new n x n buffer; the caller
+    applies nonnegativity.
     """
-    k = np.asarray(k, dtype=float)
-    d = np.asarray(d, dtype=float)
-    if k.ndim not in (1, 2) or k.shape[0] != f.order or d.shape != k.shape:
+    n = factor.order
+    AK = np.asarray(AK, dtype=float)
+    F = np.asarray(F, dtype=float)
+    if AK.shape != (n, n) or F.ndim != 2 or F.shape[0] != n:
         raise ValueError(
-            f"expected columns of length {f.order}, got {k.shape} and {d.shape}"
+            f"expected AK of shape {(n, n)} and an embedding with {n} rows, got {AK.shape} and {F.shape}"
         )
-    return spd_solve(f, cfg.alpha * k - 0.5 * cfg.beta * d)
+    s = np.sum(F * F, axis=1)
+    ones = np.ones_like(s)
+    solved = spd_solve(factor, np.column_stack([s, ones, F]))
+    weights = np.concatenate([[-0.5 * beta, -0.5 * beta], np.full(F.shape[1], beta)])
+    Z = product(solved * weights, np.column_stack([ones, s, F]), trans_b=True)
+    _add_scaled(Z, AK, alpha)
+    return Z
 
 
 def project_nonneg(Z: np.ndarray) -> np.ndarray:
@@ -259,7 +274,7 @@ def extract_labels(Z: np.ndarray, threshold: Optional[float] = None) -> tuple[np
     Z = np.asarray(Z, dtype=float)
     if threshold is None:
         threshold = ZERO_EIG_TOL * Z.max() if Z.size and Z.max() > 0 else 0.0
-    if threshold < 0:
+    if not threshold >= 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     count, raw = connected_components(csr_array(_symmetric_part(Z) > threshold), directed=False)
     return Partition.from_labels(raw).labels, int(count)
@@ -349,7 +364,7 @@ def alternate(
 
         s = np.sum(F * F, axis=1)
         obj_f = 0.5 * _inner(weights, h) + cfg.gamma * z_sq + beta * _spectral(Z, F, s)
-        Z_unproj = _graph_step(factor, AK, F, s, cfg.alpha, beta)
+        Z_unproj = update_graph(factor, AK, F, cfg.alpha, beta)
         # K Z_unproj = alpha*K - (beta/2)*P - 2*gamma*Z_unproj turns the fit
         # and ridge terms into the preservation and spectral ones
         spectral = _spectral(Z_unproj, F, s)
@@ -440,27 +455,6 @@ def _spectral(Z: np.ndarray, F: np.ndarray, s: np.ndarray) -> float:
     """
     sums = Z.sum(axis=0) + Z.sum(axis=1)
     return 0.5 * float(np.sum(s * sums)) - _inner(product(Z, F), F)
-
-
-def _graph_step(
-    factor: SpdFactorization,
-    AK: np.ndarray,
-    F: np.ndarray,
-    s: np.ndarray,
-    alpha: float,
-    beta: float,
-) -> np.ndarray:
-    """The unprojected graph step A^{-1} (alpha*K - (beta/2)*P) from AK = A^{-1} K.
-
-    A^{-1} P = (A^{-1}s) 1' + (A^{-1}1) s' - 2 (A^{-1}F) F' is a rank-(c+2)
-    product, so only an n x (c+2) block is solved.
-    """
-    ones = np.ones_like(s)
-    solved = spd_solve(factor, np.column_stack([s, ones, F]))
-    weights = np.concatenate([[-0.5 * beta, -0.5 * beta], np.full(F.shape[1], beta)])
-    Z = product(solved * weights, np.column_stack([ones, s, F]), trans_b=True)
-    _add_scaled(Z, AK, alpha)
-    return Z
 
 
 def _ridged(K: np.ndarray, shift: float) -> np.ndarray:

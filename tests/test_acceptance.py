@@ -125,8 +125,8 @@ def test_two_moons_wide_gaussian_prefers_two_point_split():
 
 
 def test_graph_step_matches_gradient_oracle():
-    # the closed-form column update must agree with an independent
-    # unconstrained gradient-descent minimizer of the same quadratic
+    # column i of the loop's graph step, update_graph, must agree with an
+    # independent unconstrained gradient-descent minimizer of the same quadratic
     rng = np.random.default_rng(0)
     tic = time.perf_counter()
     n = 10
@@ -142,9 +142,8 @@ def test_graph_step_matches_gradient_oracle():
         d = ((F - F[i]) ** 2).sum(axis=1)
         d[i] = 0.0
 
-        cfg = sp.SpcConfig(alpha=alpha, beta=beta, gamma=gamma, clusters=2)
         f = sp.spd_factorize(K + 2 * gamma * np.eye(n))
-        z = sp.update_graph_column(f, K[i], d, cfg)
+        z = sp.update_graph(f, sp.spd_solve(f, K), F, alpha, beta)[:, i]
 
         A = K + 2 * gamma * np.eye(n)
         b = alpha * K[i] - 0.5 * beta * d
@@ -271,7 +270,7 @@ def test_kernel_bank_contract():
         and tuple((K.spec.a, K.spec.b) for K in bank[7:11]) == sp.POLYNOMIAL_AB_GRID
     )
     range_ok = all(
-        K.normalized and K.values.min() >= 0.0 and K.values.max() <= 1.0 for K in bank
+        K.values.min() == 0.0 and K.values.max() == 1.0 for K in bank
     )
 
     min_eig = np.inf

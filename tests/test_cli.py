@@ -155,6 +155,13 @@ def test_gen_moons_refuses_nan_noise(tmp_path, capsys):
     assert not os.listdir(tmp_path)
 
 
+def test_non_finite_setting_exits_one(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["spc", "moons:n=20", "--kernel", "linear", "--gamma", "inf", "--out", str(out)]) == 1
+    assert "'gamma' must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_missing_file_exits_one(tmp_path, capsys):
     assert main(["eval", str(tmp_path / "a.labels"), str(tmp_path / "b.labels")]) == 1
     assert "error:" in capsys.readouterr().err

@@ -171,7 +171,6 @@ def test_normalize_kernel_min_max():
     N = normalize_kernel(K)
     assert N.values.min() == 0.0 and N.values.max() == 1.0
     assert np.allclose(N.values, [[0.0, 0.5], [0.5, 1.0]])
-    assert N.normalized and not K.normalized
     # scaled in a new buffer; the input kernel keeps its values
     assert np.array_equal(K.values, [[2.0, 4.0], [4.0, 6.0]])
     assert not np.shares_memory(N.values, K.values)
@@ -191,8 +190,7 @@ def test_standard_bank_layout():
     assert tuple(k.spec.t for k in bank[:7]) == GAUSSIAN_T_GRID
     assert tuple((k.spec.a, k.spec.b) for k in bank[7:11]) == POLYNOMIAL_AB_GRID
     for K in bank:
-        assert K.normalized
-        assert K.values.min() >= 0.0 and K.values.max() <= 1.0
+        assert K.values.min() == 0.0 and K.values.max() == 1.0
         assert np.array_equal(K.values, K.values.T)
 
 
@@ -219,7 +217,7 @@ def test_standard_bank_equals_the_public_path_bit_for_bit(X):
     bank = build_standard_bank(X)
     assert len(bank) == len(public)
     for K, P in zip(bank, public):
-        assert K.spec == P.spec and K.normalized
+        assert K.spec == P.spec and K.values.min() == 0.0 and K.values.max() == 1.0
         assert np.array_equal(K.values.view(np.uint64), P.values.view(np.uint64)), K.spec
 
 

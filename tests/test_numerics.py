@@ -182,7 +182,7 @@ NUMPY_BLAS = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
 LOOP_FUNCTIONS = {
     spclust.spc: (
         "alternate",
-        "_graph_step",
+        "update_graph",
         "_spectral",
         "kernel_costs",
         "build_laplacian",

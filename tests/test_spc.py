@@ -44,6 +44,11 @@ def test_config_validation():
     for field, value in (("max_iters", 2.5), ("adapt_beta", "false"), ("alpha", "4"), ("clusters", True)):
         with pytest.raises(ValueError, match=field):
             small_config(**{field: value})
+    # an infinite setting is refused up front, not left to overflow in the loop
+    for field in ("alpha", "beta", "gamma", "rel_tol"):
+        for value in (float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"{field!r} must be finite"):
+                small_config(**{field: value})
     # alpha = 1 is the no-preservation variant and is allowed
     small_config(alpha=1.0)
     # numpy scalars pass, and float fields are stored as float
@@ -117,27 +122,22 @@ def test_embedding_returns_the_c_plus_one_smallest_eigenvalues():
 
 
 def test_graph_column_solves_the_linear_system():
+    # every column solves (K + 2 gamma I) z = alpha k - (beta/2) d for the
+    # squared embedding distances d
     rng = np.random.default_rng(2)
-    n = 12
+    n, c, alpha, beta, gamma = 12, 3, 3.0, 2.0, 0.7
     K = random_psd_kernel(rng, n)
-    cfg = small_config(alpha=3.0, beta=2.0, gamma=0.7)
-    f = sp.spd_factorize(K + 2 * cfg.gamma * np.eye(n))
-    d = rng.random(n)
-    z = sp.update_graph_column(f, K[0], d, cfg)
-    lhs = (K + 2 * cfg.gamma * np.eye(n)) @ z
-    rhs = cfg.alpha * K[0] - 0.5 * cfg.beta * d
-    assert np.allclose(lhs, rhs, atol=1e-10)
-    # a block of columns is solved at once, as the solver loop does
-    D = rng.random((n, n))
-    Zb = sp.update_graph_column(f, K, D, cfg)
-    columns = [sp.update_graph_column(f, K[:, j], D[:, j], cfg) for j in range(n)]
-    assert np.allclose(Zb, np.column_stack(columns), rtol=0, atol=1e-12)
-    lhs = (K + 2 * cfg.gamma * np.eye(n)) @ Zb
-    assert np.allclose(lhs, cfg.alpha * K - 0.5 * cfg.beta * D, atol=1e-10)
-    with pytest.raises(ValueError, match="length"):
-        sp.update_graph_column(f, K[0][:5], d, cfg)
-    with pytest.raises(ValueError, match="length"):
-        sp.update_graph_column(f, K, D[:, :5], cfg)
+    A = K + 2 * gamma * np.eye(n)
+    f = sp.spd_factorize(A)
+    AK = np.linalg.solve(A, K)
+    F = rng.standard_normal((n, c))
+    D = ((F[:, None, :] - F[None, :, :]) ** 2).sum(axis=2)
+    Z = sp.update_graph(f, AK, F, alpha, beta)
+    assert np.allclose(A @ Z[:, 0], alpha * K[0] - 0.5 * beta * D[:, 0], rtol=0, atol=1e-10)
+    assert np.allclose(A @ Z, alpha * K - 0.5 * beta * D, rtol=0, atol=1e-10)
+    for bad_AK, bad_F in ((AK[:, :5], F), (AK, F[:5]), (AK, F[:, 0])):
+        with pytest.raises(ValueError, match="rows"):
+            sp.update_graph(f, bad_AK, bad_F, alpha, beta)
 
 
 def test_graph_column_without_distance_pull():
@@ -145,11 +145,12 @@ def test_graph_column_without_distance_pull():
     rng = np.random.default_rng(3)
     n = 8
     K = random_psd_kernel(rng, n)
-    cfg = small_config(alpha=2.0, gamma=1.0)
-    f = sp.spd_factorize(K + 2 * np.eye(n))
-    z = sp.update_graph_column(f, K[2], np.zeros(n), cfg)
-    expect = np.linalg.solve(K + 2 * np.eye(n), 2.0 * K[2])
-    assert np.allclose(z, expect, atol=1e-10)
+    A = K + 2 * np.eye(n)
+    f = sp.spd_factorize(A)
+    Z = sp.update_graph(f, np.linalg.solve(A, K), np.zeros((n, 2)), 2.0, 1.0)
+    expect = np.linalg.solve(A, 2.0 * K[2])
+    assert np.allclose(Z[:, 2], expect, atol=1e-10)
+    assert np.allclose(Z, np.linalg.solve(A, 2.0 * K), atol=1e-10)
 
 
 @pytest.mark.parametrize("n", [130, 40])
@@ -169,7 +170,7 @@ def test_blocked_updates_equal_the_plain_expressions_bit_for_bit(n):
     solved = sp.spd_solve(factor, np.column_stack([s, ones, F]))
     weights = np.concatenate([[-0.5 * beta, -0.5 * beta], np.full(c, beta)])
     P = product(solved * weights, np.column_stack([ones, s, F]), trans_b=True)
-    got = spc_module._graph_step(factor, AK, F, s, alpha, beta)
+    got = sp.update_graph(factor, AK, F, alpha, beta)
     assert np.array_equal(got.view(np.uint64), (alpha * AK + P).view(np.uint64))
 
     Z = rng.standard_normal((n, n))
@@ -236,8 +237,9 @@ def test_extract_labels_blocks_and_threshold():
     # with an explicit zero threshold it does
     labels, count = sp.extract_labels(Z, threshold=0.0)
     assert count == 1
-    with pytest.raises(ValueError, match="threshold"):
-        sp.extract_labels(Z, threshold=-1.0)
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="threshold"):
+            sp.extract_labels(Z, threshold=bad)
 
 
 def test_extract_labels_first_seen_numbering():
@@ -366,7 +368,7 @@ def record_graph_steps(monkeypatch):
     steps = []
 
     def recording(Z):
-        steps.append(np.array(Z))
+        steps.append(Z)
         return sp.project_nonneg(Z)
 
     monkeypatch.setattr(spc_module, "project_nonneg", recording)
@@ -402,12 +404,36 @@ def test_loop_takes_one_embedding_step_per_iteration(monkeypatch):
         assert result.embedding is taken[-1][0]
 
 
+def test_loop_takes_one_graph_step_per_iteration(monkeypatch):
+    # update_graph is the loop's only Z-step: one call per iteration, and
+    # what it returns is the array the loop projects
+    graphs = []
+
+    def recording(factor, AK, F, alpha, beta):
+        graphs.append(sp.update_graph(factor, AK, F, alpha, beta))
+        return graphs[-1]
+
+    monkeypatch.setattr(spc_module, "update_graph", recording)
+    projected = record_graph_steps(monkeypatch)
+    X = blob_dataset()
+    cfg = sp.SpcConfig(alpha=1.0, beta=0.5, gamma=3.0, clusters=2, adapt_beta=True, seed=0)
+    for run in (
+        lambda: sp.run_spc(sp.gaussian_kernel(X, 1.0), cfg),
+        lambda: sp.run_mspc(sp.build_standard_bank(X), cfg)[0],
+    ):
+        graphs.clear()
+        projected.clear()
+        t = run().trace
+        assert t.iterations > 1 and len(graphs) == len(projected) == t.iterations
+        assert all(Z is P for Z, P in zip(graphs, projected))
+
+
 def assert_last_iteration_matches_reference(K, Z_prev, Z_unproj, result, cfg):
-    """The loop's last graph step and objectives against the reference functions."""
+    """The loop's last graph step against a dense solve, its objectives against objective."""
     t, F, n = result.trace, result.embedding, K.shape[0]
     cfg_k = replace(cfg, beta=t.beta[-1])
     D = ((F[:, None, :] - F[None, :, :]) ** 2).sum(axis=2)
-    expect = sp.update_graph_column(sp.spd_factorize(K + 2 * cfg.gamma * np.eye(n)), K, D, cfg_k)
+    expect = np.linalg.solve(K + 2 * cfg.gamma * np.eye(n), cfg.alpha * K - 0.5 * cfg_k.beta * D)
     assert np.linalg.norm(Z_unproj - expect) <= 1e-12 * np.linalg.norm(expect)
     for got, Z in (
         (t.objective_after_embedding[-1], Z_prev),
@@ -419,7 +445,7 @@ def assert_last_iteration_matches_reference(K, Z_prev, Z_unproj, result, cfg):
 
 def test_loop_arithmetic_matches_reference_functions(monkeypatch):
     # the loop's rank-(c+2) graph step and its identity-based objectives
-    # must reproduce update_graph_column and objective on the same iterates
+    # must reproduce a dense solve and objective on the same iterates
     steps = record_graph_steps(monkeypatch)
     rng = np.random.default_rng(9)
     for trial in range(4):

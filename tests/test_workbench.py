@@ -327,7 +327,8 @@ def test_build_kernel_choice():
     X = sp.generate_two_moons(20, 0.05, seed=0)
     assert len(build_kernel_choice(X, "bank")) == 12
     (K,) = build_kernel_choice(X, "gaussian:0.5")
-    assert K.spec == sp.KernelSpec("gaussian", t=0.5) and K.normalized
+    assert K.spec == sp.KernelSpec("gaussian", t=0.5)
+    assert K.values.min() == 0.0 and K.values.max() == 1.0
     (K,) = build_kernel_choice(X, "poly:1,2")
     assert (K.spec.a, K.spec.b) == (1.0, 2)
     (K,) = build_kernel_choice(X, "linear")
