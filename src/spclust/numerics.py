@@ -13,13 +13,14 @@ All BLAS and LAPACK work of the solvers goes through scipy: products through
 (``dsyrk``, half the flops of ``dgemm``), the inverse of a factorized matrix
 through :func:`spd_inverse` (``dpotri``), factorizations and eigensolves
 through ``scipy.linalg``, and inner products through ``ddot``. numpy's
-``@``, ``np.dot`` and ``np.linalg`` are kept out of the solver loop. numpy
-and scipy each load their own OpenBLAS, and after a numpy BLAS call numpy's
-worker thread keeps spinning on a core for a while, so the next scipy LAPACK
-call competes with it. On a 2-core host, solving for the 3 bottom
-eigenpairs of an order-1000 Laplacian took 62 ms after a pause, 60 ms right
-after a scipy ``dgemm``, 106 ms right after a numpy ``K @ Z`` and 139 ms
-right after a numpy ``np.linalg.norm`` (median of 10 each).
+``@``, ``np.dot`` and ``np.linalg`` are kept out of the solver modules, the
+loop and :func:`spclust.spc.objective` alike. numpy and scipy each load
+their own OpenBLAS, and after a numpy BLAS call numpy's worker thread keeps
+spinning on a core for a while, so the next scipy LAPACK call competes with
+it. On a 2-core host, solving for the 3 bottom eigenpairs of an order-1000
+Laplacian took 62 ms after a pause, 60 ms right after a scipy ``dgemm``,
+106 ms right after a numpy ``K @ Z`` and 139 ms right after a numpy
+``np.linalg.norm`` (median of 10 each).
 
 The integer-label check that Dataset, Partition and the label files share
 lives here too: metrics imports kernels, so it cannot supply it to Dataset.

@@ -98,16 +98,23 @@ def _check_field_types(config) -> None:
     """Check every field of a config dataclass against its annotation.
 
     float fields take any finite real number and are stored as float, int
-    fields take any integer, bool and str fields only bool and str.
+    fields take any integer, bool and str fields only bool and str. An
+    integer too large for a float is refused like an infinite one.
     """
     for f in fields(config):
         value = getattr(config, f.name)
         if not isinstance(value, _FIELD_KINDS[f.type]) or isinstance(value, bool) != (f.type == "bool"):
             raise ValueError(f"config field {f.name!r} must be {f.type}, got {value!r}")
         if f.type == "float":
-            if not math.isfinite(value):
+            try:
+                number = float(value)
+            except OverflowError:
+                raise ValueError(
+                    f"config field {f.name!r} must be finite, got an integer too large for a float"
+                ) from None
+            if not math.isfinite(number):
                 raise ValueError(f"config field {f.name!r} must be finite, got {value!r}")
-            object.__setattr__(config, f.name, float(value))
+            object.__setattr__(config, f.name, number)
 
 
 @dataclass(frozen=True)
@@ -255,11 +262,11 @@ def objective(K, Z: np.ndarray, F: np.ndarray, cfg: SpcConfig) -> float:
     """
     K = as_kernel(K).values
     Z = np.asarray(Z, dtype=float)
-    KZ = K @ Z
+    KZ = product(K, Z)
     L = build_laplacian(Z)
     fit = 0.5 * (float(np.trace(K)) + float(np.sum(KZ * Z)))
     preserve = float(np.sum(K * Z.T))
-    spectral = float(np.sum((L @ F) * F))
+    spectral = float(np.sum(product(L, F) * F))
     ridge = float(np.sum(Z * Z))
     return float(fit - cfg.alpha * preserve + cfg.beta * spectral + cfg.gamma * ridge)
 

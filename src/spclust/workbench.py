@@ -9,9 +9,16 @@ File formats are plain line-oriented text chosen for diff-ability:
 - run report: versioned key-value sections ("spc-report/1"), metrics with
   6 fractional digits, everything else at full precision.
 
-Matrix files are streamed one row at a time in both directions: the writer
-formats each row with one ``%`` call, the reader converts each row with one
-``float`` pass, and neither holds the whole file as a string.
+Matrix files are streamed one row at a time in both directions, and neither
+side holds the whole file as a string. Each off-diagonal pair of a symmetric
+matrix (every kernel) is formatted and parsed once: the writer checks once
+whether a square matrix is symmetric bit for bit and, if so, formats each
+row from the diagonal rightwards and takes the text left of it from the
+rows above; the reader of a square file copies a row's values left of the
+diagonal from the column above while their text is the same. Both hold the
+text still to mirror, up to about n^2/4 fields at once (about 2 MB at
+n = 600). The bytes written and the values read are those of formatting and
+parsing every entry.
 
 All writes go through one write-temp-then-rename step, so readers never see
 a half-written file; a write that fails removes its temp file and leaves the
@@ -95,6 +102,33 @@ def _fmt(v: float) -> str:
 # dense matrix and label files
 
 
+class _MirrorColumns:
+    """The text of a symmetric matrix's upper triangle that the rows below repeat.
+
+    Row i repeats left of its diagonal the fields that rows 0..i-1 hold in
+    column i. Each row appends its fields right of the diagonal to their
+    columns' buffers, each field followed by a comma, and row i takes
+    column i's buffer whole. So the text held is the block above the current
+    row and right of its diagonal: up to about n^2/4 fields at once, about
+    2 MB at n = 600. The writer and the reader of matrix files both keep
+    their mirrored text here.
+    """
+
+    def __init__(self):
+        self.columns: list[bytearray] = []  # the columns right of the last row taken
+
+    def left(self) -> bytearray:
+        """Take the next row's text left of its diagonal, each field followed by a comma."""
+        return self.columns.pop(0) if self.columns else bytearray()
+
+    def keep(self, right: list[bytes]) -> None:
+        """Append the fields right of the diagonal of the row just taken to their columns."""
+        if not self.columns:  # the first row sizes the columns, so a header alone allocates nothing
+            self.columns = [bytearray() for _ in right]
+        list(map(bytearray.extend, self.columns, right))
+        list(map(bytearray.append, self.columns, itertools.repeat(ord(","))))
+
+
 def _matrix_lines(A: np.ndarray) -> Iterator[str]:
     # checks run now, before any caller opens a file; rows are formatted lazily
     A = np.asarray(A, dtype=float)
@@ -103,17 +137,35 @@ def _matrix_lines(A: np.ndarray) -> Iterator[str]:
     rows, cols = A.shape
     if rows < 1 or cols < 1:
         raise ValueError(f"matrix dimensions must be positive, got shape {A.shape}")
-    row_format = ",".join(["%.17g"] * cols) + "\n"
-    body = (row_format % tuple(row.tolist()) for row in A)
-    return itertools.chain([f"{rows},{cols}\n"], body)
+    # bit for bit, so a -0.0 facing a 0.0 or two NaN payloads never count as mirrored
+    bits = A.view(np.uint64)
+    mirror = _MirrorColumns() if rows == cols and np.array_equal(bits, bits.T) else None
+    return itertools.chain([f"{rows},{cols}\n"], _format_rows(A, mirror))
+
+
+def _format_rows(A: np.ndarray, mirror: Optional[_MirrorColumns]) -> Iterator[str]:
+    # a symmetric matrix formats each row from the diagonal rightwards, as the
+    # bytes its column buffers hold, and takes the text left of the diagonal
+    # from the rows above
+    for i, row in enumerate(A):
+        if mirror is None:
+            yield ",".join(["%.17g" % v for v in row.tolist()]) + "\n"
+        else:
+            fields = [b"%.17g" % v for v in row[i:].tolist()]
+            line = mirror.left()
+            mirror.keep(fields[1:])
+            line += b",".join(fields)
+            line += b"\n"
+            yield line.decode()
 
 
 def format_matrix(A: np.ndarray) -> str:
     """Matrix file text: "rows,cols", then one line per row, values as %.17g.
 
     The text is the join of the lines save_matrix streams, so the two give
-    the same bytes. Raises ValueError for anything but a 2-D matrix with
-    both dimensions positive.
+    the same bytes. A square matrix that is symmetric bit for bit has each
+    mirrored pair formatted once; the text is the same. Raises ValueError
+    for anything but a 2-D matrix with both dimensions positive.
     """
     return "".join(_matrix_lines(A))
 
@@ -124,6 +176,12 @@ def _read_matrix(lines: Iterator[str], source: str) -> np.ndarray:
     Values use Python's float syntax. The first fault found is reported in
     this order: header, too few data lines, content after the last row,
     then the first malformed row, with its line and column numbers.
+
+    In a square file, a row whose fields left of the diagonal are the same
+    text as the column above copies those values instead of parsing them
+    again; the first row that is not mirrored ends the copying, and every
+    row from there is parsed whole. Copies of the same text give the same
+    values, so the result does not depend on the copying.
     """
     header = next(lines, None)
     if header is None:
@@ -139,6 +197,7 @@ def _read_matrix(lines: Iterator[str], source: str) -> np.ndarray:
     if rows < 1 or cols < 1:
         raise ValueError(f"{source}, line 1: dimensions must be positive, got {rows}x{cols}")
     values = array("d")  # grows with the rows read: a header alone allocates nothing
+    mirror = _MirrorColumns() if rows == cols else None
     bad_row = None  # message for the first malformed row, raised once the line count is known
     data_lines = 0
     for data_lines, line in enumerate(lines, start=1):
@@ -147,9 +206,24 @@ def _read_matrix(lines: Iterator[str], source: str) -> np.ndarray:
                 extra = line.rstrip("\n")
                 raise ValueError(f"{source}: unexpected content after row {rows}: {extra!r}")
         elif bad_row is None:
-            fault = _read_row(values, cols, line)
+            text = line.rstrip("\n")
+            first = 0  # the row's fields before this column copy the column above
+            if mirror is not None:
+                left = mirror.left().decode()
+                if text.startswith(left):
+                    first, text = data_lines - 1, text[len(left) :]
+                    values.extend(values[first::cols])
+                else:
+                    mirror = None
+            parts = text.split(",")
+            if first + len(parts) != cols:
+                bad_row = f"{source}, line {data_lines + 1}: expected {cols} values, got {first + len(parts)}"
+                continue
+            fault = _read_fields(values, parts, first)
             if fault is not None:
                 bad_row = f"{source}, line {data_lines + 1}{fault}"
+            elif mirror is not None:
+                mirror.keep(list(map(str.encode, parts[1:])))
     if data_lines < rows:
         raise ValueError(f"{source}: header promises {rows} rows, file has {data_lines} data lines")
     if bad_row is not None:
@@ -157,20 +231,18 @@ def _read_matrix(lines: Iterator[str], source: str) -> np.ndarray:
     return np.array(values).reshape(rows, cols)
 
 
-def _read_row(values: array, cols: int, line: str) -> Optional[str]:
-    # appends the line's values, or returns what is wrong with the line (values
-    # may then hold part of the row, but a parse with a bad row never returns them)
-    parts = line.split(",")
-    if len(parts) != cols:
-        return f": expected {cols} values, got {len(parts)}"
+def _read_fields(values: array, parts: list[str], first: int) -> Optional[str]:
+    # appends the values of a row's fields from column first on, or returns what is
+    # wrong with the first bad one (values may then hold part of the row, but a
+    # parse with a bad row never returns them)
     try:
         values.extend(map(float, parts))
     except ValueError:
-        for c, part in enumerate(parts):
+        for c, part in enumerate(parts, start=first + 1):
             try:
                 float(part)
             except ValueError:
-                return f", column {c + 1}: {part.strip()!r} is not a number"
+                return f", column {c}: {part.strip()!r} is not a number"
         raise
     return None
 
@@ -181,6 +253,8 @@ def parse_matrix(text: str, source: str = "<string>") -> np.ndarray:
     Runs the parser load_matrix runs, over the text's lines split as a file
     read in text mode splits them (\\n, \\r\\n or \\r), so both accept the same
     content and raise the same errors. Errors name source, line and column.
+    A square matrix whose rows repeat the text of the column above has each
+    mirrored pair parsed once (see _read_matrix).
     """
     return _read_matrix(io.StringIO(text, newline=None), source)
 
@@ -188,14 +262,21 @@ def parse_matrix(text: str, source: str = "<string>") -> np.ndarray:
 def save_matrix(A: np.ndarray, path: str) -> None:
     """Write a matrix file, streaming one formatted row at a time.
 
-    The bytes equal format_matrix(A). The file appears by temp-then-rename;
-    a matrix that format_matrix rejects raises before any file is opened.
+    The bytes equal format_matrix(A); a symmetric matrix has each mirrored
+    pair formatted once, holding the text of up to about n^2/4 fields for
+    the rows below. The file appears by temp-then-rename; a matrix that
+    format_matrix rejects raises before any file is opened.
     """
     _atomic_write(path, _matrix_lines(A))
 
 
 def load_matrix(path: str) -> np.ndarray:
-    """Read a matrix file row by row from the open file; errors name the path."""
+    """Read a matrix file row by row from the open file; errors name the path.
+
+    Runs the parser of parse_matrix: a symmetric file written by save_matrix
+    has each mirrored pair parsed once, holding the text of up to about
+    n^2/4 fields.
+    """
     with open(path) as fh:
         return _read_matrix(fh, path)
 

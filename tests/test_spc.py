@@ -49,6 +49,9 @@ def test_config_validation():
         for value in (float("inf"), float("-inf")):
             with pytest.raises(ValueError, match=f"{field!r} must be finite"):
                 small_config(**{field: value})
+    # an integer too large for a float is refused the same way, naming the field
+    with pytest.raises(ValueError, match="'alpha' must be finite, got an integer too large for a float"):
+        sp.SpcConfig(alpha=10**400, beta=1.0, gamma=1.0, clusters=2)
     # alpha = 1 is the no-preservation variant and is allowed
     small_config(alpha=1.0)
     # numpy scalars pass, and float fields are stored as float

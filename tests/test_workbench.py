@@ -1,5 +1,6 @@
 import dataclasses
 import errno
+import hashlib
 import os
 import re
 
@@ -44,8 +45,13 @@ def test_matrix_round_trip_is_bitwise(tmp_path):
     assert np.array_equal(_bits(sp.load_matrix(path)), _bits(A))
 
 
-def test_bank_kernel_file_round_trip_is_bitwise(tmp_path):
-    K = sp.build_standard_bank(sp.generate_two_moons(600, 0.08, seed=1))[0].values
+@pytest.fixture(scope="module")
+def moons_600():
+    return sp.generate_two_moons(600, 0.08, seed=1)
+
+
+def test_bank_kernel_file_round_trip_is_bitwise(tmp_path, moons_600):
+    K = sp.build_standard_bank(moons_600)[0].values
     path = str(tmp_path / "kernel_01.csv")
     sp.save_matrix(K, path)
     assert np.array_equal(_bits(sp.load_matrix(path)), _bits(K))
@@ -56,6 +62,93 @@ def test_bank_kernel_file_round_trip_is_bitwise(tmp_path):
 def test_matrix_file_bytes_are_pinned():
     text = format_matrix([[-0.0, 5e-324, 0.1, 1 / 3, 1e308, 2.0]])
     assert text == "1,6\n-0,4.9406564584124654e-324,0.10000000000000001,0.33333333333333331,1e+308,2\n"
+
+
+# sha256 of format_matrix for the 12 bank kernels of two-moons n=600 (noise 0.08,
+# seed 1), then for the data matrix itself and for a square non-symmetric matrix;
+# recorded before symmetric matrices were written with each mirrored pair formatted once
+_BANK_600_SHA256 = [
+    "2d726be40044a92c6dc12ba701ca53055ed60fbac2142a5c61f9fbaeaaaa3935",
+    "64bc78ab3065705e1867c35d3fc981a43d0fd74e655a39e510bc42b6319c0c91",
+    "ac100232d98bdeffa0b9296f744aeb21afe5f4580d5d23fbb3b4d44f21d3622e",
+    "922fb6d4a8c0d46952ca1d240d9d6044f64fb33dcad72d462eba7c3d42066092",
+    "c5390bce28fbb89f3758ef8945a152ceedfaf1dc55e1432238d9fc466c986fdc",
+    "73294fff88dcc8dcd41a61c18e823e9431ef3a2388915fb0b536d96b764d2268",
+    "70698a5e871723239a0122ca0b33d96cfe744cdc784d398a7fc5022d9fc7083a",
+    "178d23c0f2cc6ece7691dc366d3f45f43ea1c378bc55c3dfc42936fdb9821209",
+    "d10c3953f73eba4e7baae32f57e91ef628be4d3193052dc321935dc30d20bb27",
+    "78e9b2d7e1ecf2ab5688ed4b59cfc9e85a1fdbab00f0ff98cc1aee379465875c",
+    "e781cf35b101e389fbf470b90d771e1b548958eda39b4a83ee7404b418f347e0",
+    "61f2c2a9bd31c74a9c28b592b74c978e6f3b713fe3d5c5d51102b8c1e9cdc167",
+]
+_MOONS_600_SHA256 = "672b0795b646f2d7bb3e3fd4db0f41bbee8cb88e80710d41aea2dfd0d8d646cd"
+_NONSYMMETRIC_7_SHA256 = "5981dd34e0c9026a0a054fadba3c7fb7ca416f39085cea0e87bf1810c53da637"
+
+
+def _sha256(A):
+    return hashlib.sha256(format_matrix(A).encode()).hexdigest()
+
+
+def test_matrix_file_digests_are_pinned(moons_600):
+    bank = sp.build_standard_bank(moons_600)
+    assert [_sha256(K.values) for K in bank] == _BANK_600_SHA256
+    assert _sha256(moons_600.values) == _MOONS_600_SHA256
+    assert _sha256(np.random.default_rng(1).standard_normal((7, 7))) == _NONSYMMETRIC_7_SHA256
+
+
+def test_mirrored_pairs_round_trip_bitwise(tmp_path):
+    # a -0.0 facing a 0.0 and two NaN payloads facing each other are not mirrored
+    # bit for bit; the file must still give each entry back exactly
+    quiet, payload = np.float64(np.nan), np.uint64(0x7FF8000000000001).view(np.float64)
+    path = str(tmp_path / "m.csv")
+    for a, b in ((-0.0, 0.0), (0.0, -0.0), (quiet, payload), (payload, payload), (-0.0, -0.0)):
+        A = np.array([[1.0, a, 2.0], [b, 3.0, 4.0], [2.0, 4.0, 5.0]])
+        sp.save_matrix(A, path)
+        with open(path) as fh:
+            assert fh.read() == format_matrix(A)
+        for back in (sp.load_matrix(path), parse_matrix(format_matrix(A))):
+            want = A.copy()
+            if np.isnan(a):  # the text "nan" reads back as the canonical NaN
+                want[0, 1] = want[1, 0] = np.nan
+            assert np.array_equal(_bits(back), _bits(want))
+
+
+def test_square_non_symmetric_matrix_round_trips(tmp_path):
+    rng = np.random.default_rng(3)
+    path = str(tmp_path / "m.csv")
+    for A in (rng.standard_normal((6, 6)), np.triu(np.ones((5, 5))), np.eye(4) + np.eye(4, k=-3) * 1e-300):
+        sp.save_matrix(A, path)
+        assert np.array_equal(_bits(sp.load_matrix(path)), _bits(A))
+    S = rng.standard_normal((6, 6))
+    S = S + S.T
+    S[5, 4] = np.nextafter(S[4, 5], np.inf)  # symmetric but for the last row
+    assert np.array_equal(_bits(parse_matrix(format_matrix(S))), _bits(S))
+
+
+def test_symmetric_file_parses_each_mirrored_pair_once(monkeypatch):
+    calls = []
+
+    def counting_float(text):
+        calls.append(text)
+        return float(text)
+
+    S = np.arange(25.0).reshape(5, 5) / 7
+    S = S + S.T
+    text = format_matrix(S)
+    monkeypatch.setattr(workbench, "float", counting_float, raising=False)
+    A = parse_matrix(text)
+    monkeypatch.undo()
+    assert np.array_equal(_bits(A), _bits(S))
+    assert len(calls) == 15  # the diagonal and the 10 entries above it
+    # the first row that does not mirror the column above ends the copying
+    calls.clear()
+    lines = text.splitlines(keepends=True)
+    lines[3] = lines[3].replace(lines[3].split(",")[0], "%.17g0" % S[2, 0], 1)  # same value
+    monkeypatch.setattr(workbench, "float", counting_float, raising=False)
+    A = parse_matrix("".join(lines))
+    monkeypatch.undo()
+    assert np.array_equal(_bits(A), _bits(S))
+    assert len(calls) == 5 + 4 + 5 + 5 + 5
 
 
 def test_matrix_format_header_and_body():
@@ -114,6 +207,15 @@ _MATRIX_CONTENT = [
     ("3,2\n1,2\nx,4\n", ": header promises 3 rows, file has 2 data lines"),
     ("1,2\n1,2\n\n3,4\n", ": unexpected content after row 1: '3,4'"),
     ("1,2\nx,2\n3,4\n", ": unexpected content after row 1: '3,4'"),
+    # symmetric files: mirrored rows copy the column above instead of parsing it again
+    ("3,3\r\n1,2,3\r\n2,5,6\r\n3,6,9\r\n", np.array([[1.0, 2, 3], [2, 5, 6], [3, 6, 9]])),
+    ("2,2\r\n1,2\r\n2,4", np.array([[1.0, 2.0], [2.0, 4.0]])),
+    ("3,3\n1,1.0,1e0\n1,2,3\n1.0,3,4\n", np.array([[1.0, 1, 1], [1, 2, 3], [1, 3, 4]])),
+    ("3,3\n1,2,x\n2,5,6\nx,6,9\n", ", line 2, column 3: 'x' is not a number"),
+    ("3,3\n1,2,3\n2,5,y\n3,y,9\n", ", line 3, column 3: 'y' is not a number"),
+    ("3,3\n1,2,3\n2,5,6\n3,6x,9\n", ", line 4, column 2: '6x' is not a number"),
+    ("4,4\n1,2,3,4\n2,5,6,7\n3,6,8,9\n4,7,9,1 0\n", ", line 5, column 4: '1 0' is not a number"),
+    ("3,3\n1,2,3\n2,5\n3,6,9\n", ", line 3: expected 3 values, got 2"),
     ("2,x\r\n1\r\n", ", line 1: header must be two integers, got '2,x'"),
     ("", ": empty matrix file"),
 ]
