@@ -12,7 +12,10 @@ All BLAS and LAPACK work of the solvers goes through scipy: products through
 :func:`product` (``dgemm``), the Gram triangle through :func:`gram_upper`
 (``dsyrk``, half the flops of ``dgemm``), the inverse of a factorized matrix
 through :func:`spd_inverse` (``dpotri``), factorizations and eigensolves
-through ``scipy.linalg``, and inner products through ``ddot``. numpy's
+through ``scipy.linalg``, the F-step's check that a graph's components give
+the whole bottom eigenspace through :func:`_is_positive_definite` (a rank
+update and a Cholesky factorization in the caller's buffer), and inner
+products through ``ddot``. numpy's
 ``@``, ``np.dot`` and ``np.linalg`` are kept out of the solver modules, the
 loop and :func:`spclust.spc.objective` alike. numpy and scipy each load
 their own OpenBLAS, and after a numpy BLAS call numpy's worker thread keeps
@@ -35,6 +38,9 @@ import numpy as np
 from scipy.linalg import cho_solve, eigh
 from scipy.linalg.blas import dgemm, dsyrk
 from scipy.linalg.lapack import dpotrf, dpotri
+
+# rows of the lower triangle mirrored at a time in spd_inverse
+_MIRROR_ROWS = 64
 
 
 class FactorizationError(ValueError):
@@ -183,7 +189,27 @@ def spd_inverse(f: SpdFactorization) -> np.ndarray:
     inv, info = dpotri(f.factor, lower=1)
     if info != 0:
         raise ValueError(f"dpotri failed with info={info}")
-    # the column-major lower triangle is the row-major upper one; mirror it down
+    # the column-major lower triangle is the row-major upper one; mirror it
+    # down in blocks of rows, so no n x n mask is made
     out = inv.T
-    np.copyto(out, out.T, where=np.tri(f.order, k=-1, dtype=bool))
+    for lo in range(0, f.order, _MIRROR_ROWS):
+        hi = min(lo + _MIRROR_ROWS, f.order)
+        block = out[lo:hi, :hi]
+        np.copyto(block, out[:hi, lo:hi].T, where=np.tri(hi - lo, hi, k=lo - 1, dtype=bool))
     return out
+
+
+def _is_positive_definite(A: np.ndarray, F: np.ndarray, scale: float) -> bool:
+    """Whether the symmetric A + scale * F F' is positive definite; A is overwritten.
+
+    The rank update (dsyrk) and the Cholesky factorization (dpotrf) both run
+    in A's own buffer and read only its lower triangle. A C-contiguous A is
+    handed to them as its transpose, the same symmetric matrix in Fortran
+    order, so neither routine copies it.
+    """
+    a = A.T if A.flags.c_contiguous else A
+    a = dsyrk(scale, F, beta=1.0, c=a, trans=0, lower=1, overwrite_c=1)
+    _, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    return info == 0

@@ -8,9 +8,15 @@ step on the embedding is needed.
 
 Each outer iteration alternates:
 
-1. embedding step (:func:`update_embedding`): F <- the c bottom
-   eigenvectors of the Laplacian of Z, from one eigensolve that also
-   returns the c+1 smallest eigenvalues, whose zeros the beta anneal counts;
+1. embedding step (:func:`update_embedding`): F <- an orthonormal basis of
+   the bottom c-dimensional eigenspace of the Laplacian of Z, with the
+   number of near-zero eigenvalues that the beta anneal reads. When the
+   graph has exactly c connected components, F is read off the graph: the
+   normalized component indicators span the Laplacian's null space (the
+   multiplicity fact CAN relies on), and one Cholesky factorization
+   confirms that the (c+1)-th eigenvalue is not near zero. Otherwise one
+   eigensolve gives the c bottom eigenvectors and the c+1 smallest
+   eigenvalues;
 2. graph step (:func:`update_graph`): every column of Z gets the
    closed-form minimizer of the ridge-regularized quadratic,
    A^{-1} (alpha*K - (beta/2)*P) with A = K + 2*gamma*I and P the squared
@@ -43,7 +49,8 @@ combined kernel.
 Memory: the n x n arrays that live through an iteration are K, the Cholesky
 factor of A, A^{-1}K and Z. Besides them the loop holds one transient of its
 own (the Laplacian, the unprojected graph or the ZZ' triangle) and at most
-one more array: the eigensolver's copy of the Laplacian, or the projected
+one more array: the eigensolver's copy of the Laplacian (or the F-step's
+shifted copy that the Cholesky check factorizes in place), or the projected
 graph that becomes the next Z. So the traced peak is about 5 n^2 floats
 beyond the kernel (6 beyond an mSPC bank, whose combined kernel is one
 more). Scaled sums into an n x n array run in 64-row blocks
@@ -62,13 +69,11 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg.blas import ddot
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
 
 from .kernels import KernelMatrix, as_bank, as_kernel
-from .metrics import Partition
 from .numerics import (
     SpdFactorization,
+    _is_positive_definite,
     _symmetric_part,
     gram_upper,
     product,
@@ -161,8 +166,10 @@ class SpcTrace:
     the (unprojected) graph step, so descent of the exact minimizers can be
     audited after the run. All three come from exact identities (see the
     module docstring) and agree with :func:`objective` up to rounding.
-    ``near_zero_eigs`` counts near-zero Laplacian eigenvalues among the c+1
-    smallest, the only ones computed, so it is at most c+1.
+    ``near_zero_eigs`` counts the Laplacian eigenvalues below ZERO_EIG_TOL
+    among the c+1 smallest, so it is at most c+1: the count that
+    :func:`update_embedding` returns, c whenever the F-step was read off
+    exactly c components.
     ``wall_time`` holds the seconds each iteration took; for mSPC that
     includes combining the next iteration's kernel.
     """
@@ -185,7 +192,7 @@ class ClusteringResult:
     labels: np.ndarray
     component_count: int
     graph: np.ndarray  # learned nonnegative affinity matrix Z
-    embedding: np.ndarray  # orthonormal n x c spectral embedding
+    embedding: np.ndarray  # orthonormal n x c basis of the bottom Laplacian eigenspace
     trace: SpcTrace
     converged: bool
 
@@ -205,19 +212,61 @@ def build_laplacian(Z: np.ndarray) -> np.ndarray:
     return W
 
 
-def update_embedding(L: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
-    """The F-step: the c bottom eigenvectors of L, and its c+1 smallest eigenvalues.
+def update_embedding(L: np.ndarray, c: int) -> tuple[np.ndarray, int]:
+    """The F-step: an orthonormal basis F of L's bottom c-dimensional eigenspace.
 
-    Returns (F, values). F is the orthonormal n x c block of bottom
-    eigenvectors. values holds the c+1 smallest eigenvalues, ascending (all
-    n of them when c = n), so the caller can tell whether the graph has
-    fewer, exactly or more than c components. Both come from one
-    symmetric_eigen call.
+    Returns (F, count), with count the number of eigenvalues below
+    ZERO_EIG_TOL among the c+1 smallest (among all n when c = n), so the
+    caller can tell whether the graph has fewer, exactly or more than c
+    components.
+
+    When the support of the graph (the off-diagonal nonzeros of L) has
+    exactly c connected components, their normalized indicators span L's
+    null space, and F is read off the graph: column b is 1_b / sqrt(n_b).
+    The count is then c if lambda_{c+1} >= ZERO_EIG_TOL, which one Cholesky
+    factorization of L + sigma*FF' - ZERO_EIG_TOL*I in a copy of L confirms
+    (sigma is the largest diagonal entry of L, at least 1, so the null
+    directions are shifted well clear). Otherwise, or when the check fails,
+    one symmetric_eigen call gives the c bottom eigenvectors and the c+1
+    smallest eigenvalues.
     """
-    if c > L.shape[0]:
-        raise ValueError(f"cannot take {c} eigenvectors from an order-{L.shape[0]} matrix")
+    n = L.shape[0]
+    if c > n:
+        raise ValueError(f"cannot take {c} eigenvectors from an order-{n} matrix")
+    labels, count = _components(L != 0)
+    if count == c:
+        sizes = np.bincount(labels, minlength=c)
+        F = np.zeros((n, c))
+        F[np.arange(n), labels] = 1.0 / np.sqrt(sizes)[labels]
+        shifted = L.copy()
+        shifted.flat[:: n + 1] -= ZERO_EIG_TOL
+        if _is_positive_definite(shifted, F, max(1.0, float(L.diagonal().max()))):
+            return F, c
+        del shifted  # freed before the eigensolver makes its own copy of L
     eig = symmetric_eigen(L, c + 1)
-    return eig.vectors[:, :c], eig.values
+    return eig.vectors[:, :c], int(np.count_nonzero(eig.values < ZERO_EIG_TOL))
+
+
+def _components(adjacency: np.ndarray) -> tuple[np.ndarray, int]:
+    """Connected components of an undirected graph given by a dense symmetric boolean matrix.
+
+    Returns (labels, count), components numbered 0..count-1 in the order of
+    their first sample. A breadth-first search from each unlabelled sample
+    gathers the rows of the frontier once, so every row is read once: O(n^2).
+    """
+    n = adjacency.shape[0]
+    labels = np.full(n, -1, dtype=np.intp)
+    count = 0
+    for seed in range(n):
+        if labels[seed] >= 0:
+            continue
+        labels[seed] = count
+        frontier = np.array([seed])
+        while frontier.size:
+            frontier = np.flatnonzero(adjacency[frontier].any(axis=0) & (labels < 0))
+            labels[frontier] = count
+        count += 1
+    return labels, count
 
 
 def update_graph(
@@ -283,8 +332,7 @@ def extract_labels(Z: np.ndarray, threshold: Optional[float] = None) -> tuple[np
         threshold = ZERO_EIG_TOL * Z.max() if Z.size and Z.max() > 0 else 0.0
     if not threshold >= 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
-    count, raw = connected_components(csr_array(_symmetric_part(Z) > threshold), directed=False)
-    return Partition.from_labels(raw).labels, int(count)
+    return _components(_symmetric_part(Z) > threshold)
 
 
 def init_graph(n: int, seed: int) -> np.ndarray:
@@ -358,8 +406,7 @@ def alternate(
             AK = spd_inverse(factor)
             AK *= -2.0 * cfg.gamma
             AK.flat[:: n + 1] += 1.0
-        F, eigenvalues = update_embedding(build_laplacian(Z), cfg.clusters)
-        zero_eigs = int(np.count_nonzero(eigenvalues < ZERO_EIG_TOL))
+        F, zero_eigs = update_embedding(build_laplacian(Z), cfg.clusters)
 
         if cfg.adapt_beta and adjustments < MAX_BETA_ADJUSTMENTS:
             if zero_eigs < cfg.clusters:

@@ -502,7 +502,7 @@ class ExperimentConfig:
             with open(config_path) as fh:
                 try:
                     raw = json.load(fh)
-                except json.JSONDecodeError as e:
+                except ValueError as e:  # bad JSON, bad UTF-8, an integer past Python's digit limit
                     raise ValueError(f"{config_path}: not valid JSON ({e})") from None
             if not isinstance(raw, dict):
                 raise ValueError(f"{config_path}: config must be a JSON object")

@@ -171,6 +171,16 @@ def test_config_integer_too_large_for_a_float_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_integer_beyond_the_digit_limit_names_the_file(tmp_path, capsys):
+    # Python refuses to parse an integer literal of more than 4300 digits
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"source": "moons:n=20", "kernel": "linear", "beta": 1%s}' % ("0" * 5000))
+    out = tmp_path / "run"
+    assert main(["spc", "--config", str(cfg), "--out", str(out)]) == 1
+    assert str(cfg) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_missing_file_exits_one(tmp_path, capsys):
     assert main(["eval", str(tmp_path / "a.labels"), str(tmp_path / "b.labels")]) == 1
     assert "error:" in capsys.readouterr().err

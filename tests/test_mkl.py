@@ -284,6 +284,50 @@ def test_factorizes_once_per_kernel(monkeypatch):
     assert rhs and (n, n) not in rhs
 
 
+def test_solver_calls_match_the_benchmark_attribution(monkeypatch):
+    # the benchmark's traced run rebinds symmetric_eigen and spd_factorize
+    # under every name in every spclust module, and fails the run unless
+    # spd_factorize runs once for SPC and once per iteration for mSPC. Every
+    # F-step is either one eigensolve or one step read off c components,
+    # which factorizes its own copy of the Laplacian through a private helper
+    counts = {"symmetric_eigen": 0, "spd_factorize": 0}
+    fast = []
+    is_positive_definite = sp.numerics._is_positive_definite
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def checking(*args):
+        fast.append(is_positive_definite(*args))
+        return fast[-1]
+
+    wrappers = [(getattr(sp.numerics, name), counting(name, getattr(sp.numerics, name))) for name in counts]
+    wrappers.append((is_positive_definite, checking))
+    for name, module in list(sys.modules.items()):
+        if name == "spclust" or name.startswith("spclust."):
+            for attr, value in list(vars(module).items()):
+                for fn, wrapper in wrappers:
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, wrapper)
+    X = blob_dataset()
+    cfg = sp.SpcConfig(alpha=1.0, beta=0.5, gamma=3.0, clusters=2, adapt_beta=True, seed=0)
+    spc_trace = sp.run_spc(sp.gaussian_kernel(X, 1.0), cfg).trace
+    assert counts["spd_factorize"] == 1
+    runs = [(spc_trace, dict(counts), sum(fast))]
+    counts.update(symmetric_eigen=0, spd_factorize=0)
+    fast.clear()
+    mspc_trace = run_mspc(sp.build_standard_bank(X), cfg)[0].trace
+    assert counts["spd_factorize"] == mspc_trace.iterations
+    runs.append((mspc_trace, counts, sum(fast)))
+    for trace, calls, fast_steps in runs:
+        assert calls["symmetric_eigen"] and fast_steps
+        assert calls["symmetric_eigen"] + fast_steps == trace.iterations
+
+
 def test_loop_arithmetic_follows_the_kernel_step(monkeypatch):
     # iteration 2 runs on the kernel combined after iteration 1, so its
     # graph step and all three objectives must use that kernel, including

@@ -5,6 +5,7 @@ import pkgutil
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpotri
 
 import spclust
 import spclust.mkl
@@ -119,6 +120,18 @@ def test_spd_inverse_matches_dense_inverse():
         assert np.array_equal(f.factor, factor)
 
 
+def test_spd_inverse_mirrors_the_triangle_bit_for_bit():
+    # the blocked mirror gives the bits of the whole-matrix masked copy,
+    # also where the order is not a multiple of the block
+    rng = np.random.default_rng(9)
+    for n in (1, 63, 64, 65, 150):
+        B = rng.standard_normal((n, n))
+        f = spd_factorize(B @ B.T + n * np.eye(n))
+        want = dpotri(f.factor, lower=1)[0].T
+        np.copyto(want, want.T, where=np.tri(n, k=-1, dtype=bool))
+        assert spd_inverse(f).tobytes() == want.tobytes()
+
+
 def test_only_the_lower_triangle_is_read():
     # LAPACK's contract: a symmetric matrix and its lower triangle with
     # garbage above the diagonal give the same eigenpairs and factor
@@ -180,6 +193,7 @@ NUMPY_BLAS = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
 
 # the functions the alternating loop runs, by the module that exports them
 LOOP_FUNCTIONS = {
+    spclust.numerics: ("_is_positive_definite", "spd_inverse"),
     spclust.spc: (
         "alternate",
         "update_graph",
@@ -187,6 +201,7 @@ LOOP_FUNCTIONS = {
         "kernel_costs",
         "build_laplacian",
         "update_embedding",
+        "_components",
         "project_nonneg",
         "_ridged",
         "_add_scaled",

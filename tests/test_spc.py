@@ -6,7 +6,7 @@ import pytest
 
 import spclust as sp
 import spclust.spc as spc_module
-from spclust.numerics import gram_upper, product
+from spclust.numerics import gram_upper, product, symmetric_eigen
 from spclust.spc import ZERO_EIG_TOL, init_graph
 
 PATH3_LAPLACIAN = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
@@ -107,18 +107,108 @@ def test_embedding_is_orthonormal_and_spans_bottom_spectrum():
         sp.update_embedding(L, 16)
 
 
-def test_embedding_returns_the_c_plus_one_smallest_eigenvalues():
+def permuted_blocks(rng, sizes):
+    """A nonnegative graph of dense blocks of the given sizes, rows and columns shuffled alike."""
+    n = sum(sizes)
+    Z = np.zeros((n, n))
+    at = 0
+    for size in sizes:
+        Z[at : at + size, at : at + size] = rng.random((size, size)) + 0.1
+        at += size
+    perm = rng.permutation(n)
+    return Z[np.ix_(perm, perm)]
+
+
+def record_eigensolves(monkeypatch):
+    """Collect the eigenpair count of every symmetric_eigen call the F-step makes."""
+    calls = []
+
+    def recording(A, count=None):
+        calls.append(count)
+        return symmetric_eigen(A, count)
+
+    monkeypatch.setattr(spc_module, "symmetric_eigen", recording)
+    return calls
+
+
+def test_embedding_counts_the_near_zero_eigenvalues():
+    # the count is the number of eigenvalues below ZERO_EIG_TOL among the
+    # c+1 smallest, whether it is read off c components or off the eigensolver
     rng = np.random.default_rng(11)
-    L = sp.build_laplacian(rng.random((15, 15)))
-    w = np.linalg.eigvalsh(L)
-    for c in (2, 3, 5):
-        _, values = sp.update_embedding(L, c)
-        assert values.shape == (c + 1,)
-        assert np.allclose(values, w[: c + 1], rtol=0, atol=1e-10)
-    # with c = n there is no (c+1)-th eigenvalue, so all n come back
-    F, values = sp.update_embedding(L, 15)
-    assert F.shape == (15, 15) and values.shape == (15,)
-    assert np.allclose(values, w, rtol=0, atol=1e-10)
+    graphs = [rng.random((15, 15))] + [
+        permuted_blocks(rng, sizes)
+        for sizes in ([9, 6], [1, 8, 6], [3, 1, 5, 1, 5], [1, 1, 1, 6, 6])
+    ]
+    for Z in graphs:
+        L = sp.build_laplacian(Z)
+        w = np.linalg.eigvalsh(L)
+        for c in (2, 3, 5):
+            _, count = sp.update_embedding(L, c)
+            assert count == int(np.count_nonzero(w[: c + 1] < ZERO_EIG_TOL))
+    # with c = n there is no (c+1)-th eigenvalue, so all n are counted
+    for Z, zeros in ((rng.random((15, 15)), 1), (np.zeros((15, 15)), 15)):
+        F, count = sp.update_embedding(sp.build_laplacian(Z), 15)
+        assert F.shape == (15, 15) and count == zeros
+
+
+def test_embedding_read_off_c_components_spans_the_eigensolvers_subspace(monkeypatch):
+    rng = np.random.default_rng(12)
+    calls = record_eigensolves(monkeypatch)
+    for sizes in ([9, 6], [1, 8, 6], [3, 1, 5, 1, 5]):
+        L = sp.build_laplacian(permuted_blocks(rng, sizes))
+        c = len(sizes)
+        F, count = sp.update_embedding(L, c)
+        assert not calls and count == c
+        assert np.allclose(F.T @ F, np.eye(c), rtol=0, atol=1e-15)
+        V = symmetric_eigen(L, c).vectors
+        assert np.allclose(F @ F.T, V @ V.T, rtol=0, atol=1e-12)
+
+
+def test_embedding_falls_back_to_the_eigensolver(monkeypatch):
+    rng = np.random.default_rng(13)
+    calls = record_eigensolves(monkeypatch)
+    # three components, but not c of them
+    L = sp.build_laplacian(permuted_blocks(rng, [4, 5, 6]))
+    for c in (2, 4):
+        F, count = sp.update_embedding(L, c)
+        assert calls[-1] == c + 1 and count == 3
+        assert np.array_equal(F, symmetric_eigen(L, c + 1).vectors[:, :c])
+    # two components, but a 1e-12 edge joins two blocks, so the third
+    # eigenvalue is near zero too and the Cholesky check refuses the shortcut
+    calls.clear()
+    Z = np.zeros((15, 15))
+    for lo, hi in ((0, 4), (4, 9), (9, 15)):
+        Z[lo:hi, lo:hi] = rng.random((hi - lo, hi - lo)) + 0.1
+    Z[0, 4] = 1e-12
+    L = sp.build_laplacian(Z)
+    assert spc_module._components(L != 0)[1] == 2
+    F, count = sp.update_embedding(L, 2)
+    assert calls == [3] and count == 3
+
+
+def test_components_match_scipy():
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+
+    rng = np.random.default_rng(14)
+    n = 40
+    perm = rng.permutation(n)
+    chain = np.eye(n, k=1, dtype=bool)[np.ix_(perm, perm)]
+    sparse = rng.random((n, n)) < 0.03
+    singletons = np.zeros((n, n), dtype=bool)
+    singletons[5:20, 5:20] = singletons[30:, 30:] = True
+    masks = {
+        "dense": np.ones((n, n), dtype=bool),
+        "sparse": sparse | sparse.T,
+        "chain": chain | chain.T,
+        "singletons": singletons,
+        "empty": np.zeros((n, n), dtype=bool),
+    }
+    for name, mask in masks.items():
+        want_count, raw = connected_components(csr_array(mask), directed=False)
+        labels, count = spc_module._components(mask)
+        assert count == want_count, name
+        assert np.array_equal(labels, sp.Partition.from_labels(raw).labels), name
 
 
 # --- closed-form graph step ----------------------------------------------------
@@ -379,7 +469,7 @@ def record_graph_steps(monkeypatch):
 
 
 def record_embedding_steps(monkeypatch):
-    """Collect the (F, values) of every F-step the solver loop takes."""
+    """Collect the (F, count) of every F-step the solver loop takes."""
     steps = []
 
     def recording(L, c):
@@ -392,7 +482,7 @@ def record_embedding_steps(monkeypatch):
 
 def test_loop_takes_one_embedding_step_per_iteration(monkeypatch):
     # update_embedding is the loop's only F-step: one call per iteration, and
-    # the trace counts the zeros among the eigenvalues it returns
+    # the trace records the near-zero count it returns
     steps = record_embedding_steps(monkeypatch)
     X = blob_dataset()
     cfg = sp.SpcConfig(alpha=1.0, beta=0.5, gamma=3.0, clusters=2, adapt_beta=True, seed=0)
@@ -403,7 +493,7 @@ def test_loop_takes_one_embedding_step_per_iteration(monkeypatch):
     for result, taken in ((spc_result, spc_steps), (mspc_result, steps)):
         t = result.trace
         assert t.iterations > 1 and len(taken) == t.iterations
-        assert t.near_zero_eigs == [int(np.count_nonzero(v < ZERO_EIG_TOL)) for _, v in taken]
+        assert t.near_zero_eigs == [count for _, count in taken]
         assert result.embedding is taken[-1][0]
 
 
