@@ -15,10 +15,12 @@ import os
 import sys
 from dataclasses import fields
 
-from .metrics import Partition, accuracy, nmi, purity
 from .workbench import (
+    REPORT_METRICS,
     ExperimentConfig,
     _atomic_write,
+    _score_labels,
+    _source_kind,
     build_kernel_choice,
     companion_labels_path,
     emit_scatter_svg,
@@ -71,9 +73,12 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _source_string(data: str) -> str:
-    if data.startswith(("file:", "moons")):
-        return data
-    return f"file:{data}"
+    return data if _source_kind(data) else f"file:{data}"
+
+
+def _print_metrics(metrics: dict) -> None:
+    for key in REPORT_METRICS:
+        print(f"{key} = {metrics[key]:.6f}")
 
 
 def _run_solver(args) -> int:
@@ -84,8 +89,7 @@ def _run_solver(args) -> int:
     state = "converged" if report.converged else "did not converge"
     print(f"{cfg.mode}: {state} after {report.iterations} iterations, {report.components} components")
     if report.metrics is not None:
-        for key in ("accuracy", "nmi", "purity"):
-            print(f"{key} = {report.metrics[key]:.6f}")
+        _print_metrics(report.metrics)
     print(f"report: {os.path.join(cfg.out, 'report.txt')}")
     return 0 if report.converged else 2
 
@@ -114,11 +118,7 @@ def _cmd_build_kernels(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    pred = Partition.from_labels(load_labels(args.pred))
-    truth = Partition.from_labels(load_labels(args.truth))
-    print(f"accuracy = {accuracy(pred, truth):.6f}")
-    print(f"nmi = {nmi(pred, truth):.6f}")
-    print(f"purity = {purity(pred, truth):.6f}")
+    _print_metrics(_score_labels(load_labels(args.pred), load_labels(args.truth)))
     return 0
 
 

@@ -1,13 +1,13 @@
 """Experiment workbench: data files, synthetic data, reports, and plotting.
 
-File formats are plain line-oriented text chosen for diff-ability:
+File formats are plain text chosen for diff-ability:
 
 - dense matrix: header line "rows,cols", then one comma-separated line per
   row, values printed with 17 significant digits so float64 round-trips
   exactly; kernel and graph matrices reuse the same format;
 - labels: one integer per line;
-- run report: versioned key-value sections ("spc-report/1"), metrics with
-  6 fractional digits, everything else at full precision.
+- run report: one JSON object ("spc-report/2"), floats as their repr, so
+  every value reads back bit for bit.
 
 Matrix files are streamed one row at a time in both directions, and neither
 side holds the whole file as a string. Each off-diagonal pair of a symmetric
@@ -32,9 +32,10 @@ import itertools
 import os
 import json
 import math
+import reprlib
 import time
 from array import array
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import asdict, dataclass, field, fields as dataclass_fields
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -53,10 +54,11 @@ from .mkl import run_mspc
 from .numerics import _check_integer_labels
 from .spc import SpcConfig, _check_field_types, run_spc
 
-REPORT_VERSION = "spc-report/1"
+REPORT_VERSION = "spc-report/2"
 
-# the [metrics] section holds exactly these keys, in this order
-REPORT_METRICS = ("accuracy", "nmi", "purity")
+# a report's metrics, in this order: name -> score of a predicted partition against the truth
+_METRICS = {"accuracy": accuracy, "nmi": nmi, "purity": purity}
+REPORT_METRICS = tuple(_METRICS)
 
 SVG_WIDTH = 640
 SVG_HEIGHT = 480
@@ -91,11 +93,6 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
         except FileNotFoundError:
             pass
         raise
-
-
-def _fmt(v: float) -> str:
-    # shortest string that parses back to the same float64
-    return repr(float(v))
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +371,16 @@ def generate_two_moons(n: int, noise_sigma: float = 0.08, seed: int = 0) -> Data
 # dataset sources and kernel choices (shared by config file and CLI)
 
 
+def _source_kind(source: str) -> Optional[str]:
+    """"file" or "moons" for a source string, None for anything else.
+
+    A source string is "moons", or "moons:" or "file:" and what follows; the
+    CLI reads any other argument as the name of a data file.
+    """
+    kind, colon, _ = source.partition(":")
+    return kind if kind == "moons" or (kind == "file" and colon) else None
+
+
 def resolve_dataset(source: str) -> Dataset:
     """Build the dataset named by a source string.
 
@@ -381,16 +388,16 @@ def resolve_dataset(source: str) -> Dataset:
     picked up automatically) and "moons:n=300,noise=0.08,seed=0" for the
     synthetic generator (all three keys optional).
     """
-    if source.startswith("file:"):
-        path = source[len("file:") :]
-        if not path:
+    kind = _source_kind(source)
+    spec = source.partition(":")[2]
+    if kind == "file":
+        if not spec:
             raise ValueError("dataset source 'file:' is missing a path")
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"dataset file not found: {path}")
-        return load_dense_matrix(path)
-    if source.startswith("moons:") or source == "moons":
+        if not os.path.exists(spec):
+            raise FileNotFoundError(f"dataset file not found: {spec}")
+        return load_dense_matrix(spec)
+    if kind == "moons":
         opts = {"n": 300, "noise": 0.08, "seed": 0}
-        spec = source[len("moons:") :] if source.startswith("moons:") else ""
         for pair in filter(None, spec.split(",")):
             if "=" not in pair:
                 raise ValueError(f"bad moons option {pair!r}; expected key=value")
@@ -521,15 +528,61 @@ class ExperimentConfig:
 # run reports
 
 
+# What each report key holds: a JSON type ("string", "boolean", "integer", "number",
+# or "scalar" for any of them), "array of" or "object of" one, and "or null" where a
+# run may have none. A RunReport field needs its entry here; the writer needs none.
+REPORT_KEYS = {
+    "config": "object of scalar",
+    "converged": "boolean",
+    "components": "integer",
+    "iterations": "integer",
+    "metrics": "object of number or null",
+    "weights": "array of number or null",
+    "objective_trace": "array of number",
+    "rel_change_trace": "array of number",
+    "timings": "object of number",
+    "version": "string",
+}
+
+_JSON_SCALARS = {
+    "string": (str,),
+    "boolean": (bool,),
+    "integer": (int,),
+    "number": (int, float),
+    "scalar": (str, bool, int, float),
+}
+
+
+def _has_shape(value, shape: str) -> bool:
+    # json.loads gives bool, int, float, str, list, dict and None; a bool is
+    # never an integer or a number
+    if shape.endswith(" or null"):
+        return value is None or _has_shape(value, shape[: -len(" or null")])
+    container, _, item = shape.rpartition(" of ")
+    if container == "array":
+        return isinstance(value, list) and all(_has_shape(v, item) for v in value)
+    if container == "object":
+        return isinstance(value, dict) and all(_has_shape(v, item) for v in value.values())
+    kinds = _JSON_SCALARS[shape]
+    return isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool))
+
+
 @dataclass
 class RunReport:
-    """Parsed form of one report file; to_text/from_text round-trip exactly."""
+    """One run's report, written as one JSON object ("spc-report/2").
 
-    config: dict[str, str]
+    to_text dumps the fields as they are and from_text checks them against
+    REPORT_KEYS, so from_text(r.to_text()) == r for every report. Floats are
+    written as their repr and read back bit for bit; a non-finite value (a
+    rel_change_trace entry is inf after an all-zero graph) is written as
+    Python's json writes it, Infinity or NaN, which json.loads reads back.
+    """
+
+    config: dict  # the ExperimentConfig's fields, with their types
     converged: bool
     components: int
     iterations: int
-    metrics: Optional[dict[str, float]]  # accuracy/nmi/purity, absent without truth labels
+    metrics: Optional[dict[str, float]]  # REPORT_METRICS, None without truth labels
     weights: Optional[list[float]]  # kernel weights, multiple-kernel runs only
     objective_trace: list[float] = field(default_factory=list)
     rel_change_trace: list[float] = field(default_factory=list)
@@ -537,124 +590,51 @@ class RunReport:
     version: str = REPORT_VERSION
 
     def to_text(self) -> str:
-        lines = [self.version, "[config]"]
-        for key, value in self.config.items():
-            lines.append(f"{key} = {value}")
-        lines.append("[result]")
-        lines.append(f"converged = {'yes' if self.converged else 'no'}")
-        lines.append(f"components = {self.components}")
-        lines.append(f"iterations = {self.iterations}")
-        if self.metrics is not None:
-            lines.append("[metrics]")
-            for key in REPORT_METRICS:
-                lines.append(f"{key} = {self.metrics[key]:.6f}")
-        if self.weights is not None:
-            lines.append("[weights]")
-            pad = max(2, len(str(len(self.weights))))
-            for i, w in enumerate(self.weights, start=1):
-                lines.append(f"w{i:0{pad}d} = {_fmt(w)}")
-        if self.objective_trace:
-            lines.append("[trace]")
-            pad = max(4, len(str(len(self.objective_trace))))
-            for i, (obj, rel) in enumerate(zip(self.objective_trace, self.rel_change_trace), start=1):
-                lines.append(f"i{i:0{pad}d} = {_fmt(obj)} {_fmt(rel)}")
-        lines.append("[timings]")
-        for key, value in self.timings.items():
-            lines.append(f"{key} = {value:.6f}")
-        return "\n".join(lines) + "\n"
+        return json.dumps(asdict(self)) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "RunReport":
-        lines = text.splitlines()
-        if not lines or lines[0] != REPORT_VERSION:
-            head = lines[0] if lines else "<empty>"
-            raise ValueError(f"unsupported report format {head!r}; expected {REPORT_VERSION}")
-        sections: dict[str, list[tuple[int, str, str]]] = {}
-        current: Optional[str] = None
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                current = line[1:-1]
-                if current in sections:
-                    raise ValueError(f"line {lineno}: duplicate section [{current}]")
-                sections[current] = []
-                continue
-            if current is None or " = " not in line:
-                raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
-            key, _, value = line.partition(" = ")
-            sections[current].append((lineno, key, value))
-        for required in ("config", "result"):
-            if required not in sections:
-                raise ValueError(f"report is missing its [{required}] section")
-        result = {entry[1]: entry for entry in sections["result"]}
-        for key in ("converged", "components", "iterations"):
-            if key not in result:
-                raise ValueError(f"report [result] is missing {key!r}")
-        metrics = None
-        if "metrics" in sections:
-            metrics = {entry[1]: _report_value(entry, float) for entry in sections["metrics"]}
-            for key in REPORT_METRICS:
-                if key not in metrics:
-                    raise ValueError(f"report [metrics] is missing {key!r}")
-        weights = None
-        if "weights" in sections:
-            weights = [_report_value(entry, float) for entry in sections["weights"]]
-        trace = [_report_value(entry, _trace_pair) for entry in sections.get("trace", [])]
-        return cls(
-            config={key: value for _, key, value in sections["config"]},
-            converged=_report_value(result["converged"], _yes_no),
-            components=_report_value(result["components"], int),
-            iterations=_report_value(result["iterations"], int),
-            metrics=metrics,
-            weights=weights,
-            objective_trace=[obj for obj, _ in trace],
-            rel_change_trace=[rel for _, rel in trace],
-            timings={entry[1]: _report_value(entry, float) for entry in sections.get("timings", [])},
-        )
-
-
-def _report_value(entry: tuple[int, str, str], convert):
-    lineno, key, value = entry
-    try:
-        return convert(value)
-    except ValueError:
-        raise ValueError(f"line {lineno}: bad value for {key!r}: {value!r}") from None
-
-
-def _yes_no(value: str) -> bool:
-    if value not in ("yes", "no"):
-        raise ValueError(value)
-    return value == "yes"
-
-
-def _trace_pair(value: str) -> tuple[float, float]:
-    obj, rel = value.split()
-    return float(obj), float(rel)
+        """Parse report text; raises ValueError naming the first key at fault."""
+        try:
+            data = json.loads(text)
+        except (ValueError, RecursionError) as e:  # RecursionError: nesting too deep to decode
+            raise ValueError(f"report is not a {REPORT_VERSION} JSON object ({e})") from None
+        if not isinstance(data, dict):
+            raise ValueError(f"report is not a {REPORT_VERSION} JSON object")
+        if data.get("version") != REPORT_VERSION:
+            raise ValueError(f"unsupported report version {data.get('version')!r}; expected {REPORT_VERSION}")
+        for key in REPORT_KEYS:
+            if key not in data:
+                raise ValueError(f"report is missing key {key!r}")
+        for key in data:
+            if key not in REPORT_KEYS:
+                raise ValueError(f"report has unknown key {key!r}")
+        for key, shape in REPORT_KEYS.items():
+            if not _has_shape(data[key], shape):
+                raise ValueError(f"report key {key!r} must be {shape}, got {reprlib.repr(data[key])}")
+        if data["metrics"] is not None and set(data["metrics"]) != set(REPORT_METRICS):
+            raise ValueError(
+                f"report key 'metrics' must hold exactly {', '.join(REPORT_METRICS)}, got {', '.join(data['metrics'])}"
+            )
+        if len(data["objective_trace"]) != len(data["rel_change_trace"]):
+            raise ValueError(
+                f"report keys 'objective_trace' and 'rel_change_trace' differ in length: "
+                f"{len(data['objective_trace'])} and {len(data['rel_change_trace'])}"
+            )
+        return cls(**data)
 
 
 def report_determinism_view(text: str) -> str:
-    """Report text with the [timings] section removed, for run-to-run diffs."""
-    kept, skipping = [], False
-    for line in text.splitlines():
-        if line.startswith("[") and line.endswith("]"):
-            skipping = line == "[timings]"
-        if not skipping:
-            kept.append(line)
-    return "\n".join(kept) + "\n"
+    """Report text without its timings, for run-to-run diffs."""
+    view = asdict(RunReport.from_text(text))
+    del view["timings"]
+    return json.dumps(view) + "\n"
 
 
-def _echo_config(cfg: ExperimentConfig) -> dict[str, str]:
-    echo: dict[str, str] = {}
-    for f in dataclass_fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(value, bool):
-            echo[f.name] = "on" if value else "off"
-        elif isinstance(value, float):
-            echo[f.name] = _fmt(value)
-        else:
-            echo[f.name] = str(value)
-    return echo
+def _score_labels(pred, truth) -> dict[str, float]:
+    """The REPORT_METRICS of predicted labels against ground-truth labels."""
+    pred, truth = Partition.from_labels(pred), Partition.from_labels(truth)
+    return {name: score(pred, truth) for name, score in _METRICS.items()}
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
@@ -675,22 +655,12 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         result, state = run_mspc(bank, solver_cfg)
         weights = [float(w) for w in state.weights]
 
-    metrics = None
-    if X.labels is not None:
-        pred = Partition.from_labels(result.labels)
-        truth = Partition.from_labels(X.labels)
-        metrics = {
-            "accuracy": accuracy(pred, truth),
-            "nmi": nmi(pred, truth),
-            "purity": purity(pred, truth),
-        }
-
     report = RunReport(
-        config=_echo_config(cfg),
+        config=asdict(cfg),
         converged=result.converged,
         components=result.component_count,
         iterations=result.trace.iterations,
-        metrics=metrics,
+        metrics=None if X.labels is None else _score_labels(result.labels, X.labels),
         weights=weights,
         objective_trace=list(result.trace.objective),
         rel_change_trace=list(result.trace.rel_change),

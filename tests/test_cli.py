@@ -84,7 +84,18 @@ def test_mspc_defaults_run(tmp_path):
     out = str(tmp_path / "run")
     assert main(["mspc", "moons", "--out", out]) == 0
     with open(os.path.join(out, "report.txt")) as fh:
-        assert "[weights]" in fh.read()
+        assert len(sp.RunReport.from_text(fh.read()).weights) == 12
+
+
+def test_data_file_named_like_a_source_string(tmp_path, monkeypatch, capsys):
+    # moons.csv in the working directory is a data file, not a moons generator string
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen-moons", "--n", "40", "--noise", "0.06", "--seed", "1"]) == 0
+    args = ["--kernel", "gaussian:0.01", "--alpha", "4", "--beta", "0.125", "--adapt-beta", "--out", "run"]
+    assert main(["spc", "moons.csv", *args]) == 0
+    config = sp.RunReport.from_text((tmp_path / "run" / "report.txt").read_text()).config
+    assert config["source"] == "file:moons.csv"
+    assert "accuracy = " in capsys.readouterr().out  # the companion labels were picked up
 
 
 def test_eval_prints_three_metrics(tmp_path, capsys):
@@ -135,9 +146,9 @@ def test_config_file_with_flag_override(tmp_path):
         )
     assert main(["spc", "--config", cfg, "--alpha", "4", "--out", out]) == 0
     with open(os.path.join(out, "report.txt")) as fh:
-        body = fh.read()
-    assert "alpha = 4.0" in body
-    assert "beta = 0.125" in body
+        config = sp.RunReport.from_text(fh.read()).config
+    assert config["alpha"] == 4.0
+    assert config["beta"] == 0.125
 
 
 def test_usage_errors_exit_one(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import errno
 import hashlib
+import json
 import os
 import re
 
@@ -11,8 +12,9 @@ import spclust as sp
 import spclust.workbench as workbench
 from spclust.workbench import (
     ExperimentConfig,
+    REPORT_KEYS,
+    REPORT_VERSION,
     RunReport,
-    _echo_config,
     build_kernel_choice,
     companion_labels_path,
     format_matrix,
@@ -501,15 +503,21 @@ def test_config_fields_follow_solver_config(tmp_path):
     solver = {f.name: f.type for f in dataclasses.fields(sp.SpcConfig)}
     experiment = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
     assert solver.items() <= experiment.items()
-    # an integer JSON value for a float field echoes like the float it stands for
-    cfg_path = str(tmp_path / "cfg.json")
-    with open(cfg_path, "w") as fh:
-        fh.write('{"source": "moons", "alpha": 4}')
-    from_json = ExperimentConfig.from_sources(cfg_path, {})
-    from_flag = ExperimentConfig.from_sources(None, {"source": "moons", "alpha": 4.0})
-    assert from_json == from_flag
-    assert _echo_config(from_json) == _echo_config(from_flag)
-    assert _echo_config(from_json)["alpha"] == "4.0"
+    # the report's config rebuilds the run's ExperimentConfig, and a JSON
+    # "alpha": 4 and the flag value 4.0 give the same report outside timings
+    settings = run_cfg_settings(tmp_path)
+    del settings["alpha"]
+    cfg_path = tmp_path / "cfg.json"
+    views = []
+    for in_file, flags in (({**settings, "alpha": 4}, {}), (settings, {"alpha": 4.0})):
+        cfg_path.write_text(json.dumps(in_file))
+        cfg = ExperimentConfig.from_sources(str(cfg_path), flags)
+        sp.run_experiment(cfg)
+        text = (tmp_path / "run" / "report.txt").read_text()
+        assert ExperimentConfig(**RunReport.from_text(text).config) == cfg
+        views.append(report_determinism_view(text))
+    assert '"alpha": 4.0,' in views[0]
+    assert views[0] == views[1]
 
 
 # --- reports -----------------------------------------------------------------------------------
@@ -517,7 +525,7 @@ def test_config_fields_follow_solver_config(tmp_path):
 
 def sample_report():
     return RunReport(
-        config={"source": "moons", "alpha": "1.2"},
+        config={"source": "moons", "alpha": 1.2, "clusters": 2, "adapt_beta": True},
         converged=True,
         components=2,
         iterations=17,
@@ -533,6 +541,15 @@ def test_report_round_trip():
     rep = sample_report()
     back = RunReport.from_text(rep.to_text())
     assert back == rep
+    # values that no fixed number of digits keeps: every float reads back bit for bit
+    rep.metrics = {"accuracy": 59 / 60, "nmi": 0.1 + 0.2, "purity": 59 / 60}
+    rep.timings = {"total_seconds": 0.1234567}
+    rep.objective_trace = [1 / 3, -2.5e-300]
+    rep.rel_change_trace = [float("inf"), 5e-324]
+    assert RunReport.from_text(rep.to_text()) == rep
+    assert json.loads(rep.to_text())["version"] == "spc-report/2" == REPORT_VERSION
+    rep.objective_trace[1] = float("nan")  # nan != nan, so the report no longer equals itself
+    assert np.isnan(RunReport.from_text(rep.to_text()).objective_trace[1])
 
 
 def test_report_without_optional_sections():
@@ -540,42 +557,58 @@ def test_report_without_optional_sections():
     rep.metrics = None
     rep.weights = None
     text = rep.to_text()
-    assert "[metrics]" not in text and "[weights]" not in text
+    assert json.loads(text)["metrics"] is None and json.loads(text)["weights"] is None
     assert RunReport.from_text(text) == rep
 
 
+_DROP = object()
+
+
+def _edited_report(**changes):
+    # sample_report's text with keys changed, added, or dropped (set to _DROP)
+    data = {**dataclasses.asdict(sample_report()), **changes}
+    return json.dumps({k: v for k, v in data.items() if v is not _DROP})
+
+
 def test_report_parse_errors():
-    rep = sample_report()
-    with pytest.raises(ValueError, match="unsupported report format"):
-        RunReport.from_text("bogus/1\n[config]\n")
-    text = rep.to_text() + "[config]\n"
-    with pytest.raises(ValueError, match="duplicate"):
-        RunReport.from_text(text)
-    text = rep.to_text()
-    for old, new, message in (
-        ("converged = yes\n", "", "missing 'converged'"),
-        ("converged = yes", "converged = maybe", "line 6: bad value for 'converged'"),
-        ("components = 2", "components = two", "line 7: bad value for 'components'"),
-        ("i0001 = 10.5 1.0", "i0001 = 10.5", "line 17: bad value for 'i0001'"),
-        ("nmi = 0.882255\n", "", "missing 'nmi'"),
+    for text, message in (
+        ("spc-report/1\n[config]\nsource = moons\n", "not a spc-report/2 JSON object"),
+        ('{"version": "spc-report/2",', "not a spc-report/2 JSON object"),
+        ("[1, 2]", "not a spc-report/2 JSON object"),
+        ("[" * 100000, "not a spc-report/2 JSON object"),
+        (_edited_report(version="spc-report/1"), "version 'spc-report/1'; expected spc-report/2"),
+        (_edited_report(converged=_DROP), "missing key 'converged'"),
+        (_edited_report(stop_reason="tol"), "unknown key 'stop_reason'"),
+        (_edited_report(components=True), "'components' must be integer, got True"),
+        (_edited_report(iterations=17.0), "'iterations' must be integer, got 17.0"),
+        (_edited_report(converged="yes"), "'converged' must be boolean"),
+        (_edited_report(weights=[0.25, False]), "'weights' must be array of number or null"),
+        (_edited_report(timings=None), "'timings' must be object of number, got None"),
+        (_edited_report(config={"nested": [1]}), "'config' must be object of scalar"),
+        (_edited_report(metrics={"accuracy": 1.0, "nmi": 1.0}), "'metrics' must hold exactly accuracy, nmi, purity"),
+        (_edited_report(rel_change_trace=[1.0]), "'objective_trace' and 'rel_change_trace' differ in length: 2 and 1"),
     ):
-        assert old in text
-        with pytest.raises(ValueError, match=message):
-            RunReport.from_text(text.replace(old, new))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunReport.from_text(text)
+
+
+def test_report_reader_checks_every_field():
+    # a field added to RunReport needs its entry in the reader's key check
+    assert [f.name for f in dataclasses.fields(RunReport)] == list(REPORT_KEYS)
 
 
 def test_determinism_view_strips_timings():
     text = sample_report().to_text()
     view = report_determinism_view(text)
-    assert "total_seconds" not in view
-    assert "[config]" in view
+    assert "total_seconds" not in view and "timings" not in json.loads(view)
+    assert json.loads(view)["config"] == sample_report().config
 
 
 # --- end to end ----------------------------------------------------------------------------------
 
 
-def run_cfg(tmp_path, **kw):
-    base = dict(
+def run_cfg_settings(tmp_path):
+    return dict(
         source="moons:n=60,noise=0.06,seed=1",
         kernel="gaussian:0.01",
         mode="spc",
@@ -586,8 +619,10 @@ def run_cfg(tmp_path, **kw):
         adapt_beta=True,
         out=str(tmp_path / "run"),
     )
-    base.update(kw)
-    return ExperimentConfig(**base)
+
+
+def run_cfg(tmp_path, **kw):
+    return ExperimentConfig(**{**run_cfg_settings(tmp_path), **kw})
 
 
 def test_run_experiment_writes_report_labels_graph(tmp_path):
@@ -602,7 +637,7 @@ def test_run_experiment_writes_report_labels_graph(tmp_path):
     assert graph.shape == (60, 60)
     with open(os.path.join(out, "report.txt")) as fh:
         parsed = RunReport.from_text(fh.read())
-    assert parsed.metrics == rep.metrics
+    assert parsed == rep  # full-precision metrics, timings and traces
 
 
 def test_run_experiment_requires_single_kernel_for_spc(tmp_path, monkeypatch):
@@ -623,7 +658,7 @@ def test_metrics_absent_without_ground_truth(tmp_path):
     cfg = run_cfg(tmp_path, source=f"file:{data}")
     rep = sp.run_experiment(cfg)
     assert rep.metrics is None
-    assert "[metrics]" not in rep.to_text()
+    assert json.loads(rep.to_text())["metrics"] is None
     assert os.path.exists(os.path.join(str(tmp_path / "run"), "labels.txt"))
 
 
