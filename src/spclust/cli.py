@@ -44,6 +44,16 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
+# the parser of each config field type; a bool field takes --name and --no-name
+_FLAG_TYPES = {"int": int, "float": float, "str": str}
+
+_FLAG_HELP = {
+    "kernel": "gaussian:t | poly:a,b | linear | bank",
+    "adapt_beta": "double/halve beta until the component count matches --clusters",
+    "out": "output directory (default: current)",
+}
+
+
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "source",
@@ -53,23 +63,16 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
         help="dense matrix file (columns are samples), or a source string like moons:n=300",
     )
     p.add_argument("--config", metavar="PATH", help="JSON config file; flags override its values")
-    p.add_argument("--seed", type=int, metavar="N")
-    p.add_argument("--alpha", type=float, metavar="F")
-    p.add_argument("--beta", type=float, metavar="F")
-    p.add_argument("--gamma", type=float, metavar="F")
-    p.add_argument("--clusters", type=int, metavar="N")
-    p.add_argument("--kernel", metavar="SPEC", help="gaussian:t | poly:a,b | linear | bank")
-    p.add_argument("--max-iters", type=int, dest="max_iters", metavar="N")
-    p.add_argument("--rel-tol", type=float, dest="rel_tol", metavar="F")
-    p.add_argument(
-        "--adapt-beta",
-        action="store_const",
-        const=True,
-        default=None,
-        dest="adapt_beta",
-        help="double/halve beta until the component count matches --clusters",
-    )
-    p.add_argument("--out", metavar="DIR", help="output directory (default: current)")
+    # one flag per config field, unset unless given so the config file's value stands;
+    # the subcommand sets the mode
+    for f in fields(ExperimentConfig):
+        if f.name in ("source", "mode"):
+            continue
+        flag = "--" + f.name.replace("_", "-")
+        if f.type == "bool":
+            p.add_argument(flag, action=argparse.BooleanOptionalAction, default=None, help=_FLAG_HELP.get(f.name))
+        else:
+            p.add_argument(flag, type=_FLAG_TYPES[f.type], help=_FLAG_HELP.get(f.name))
 
 
 def _source_string(data: str) -> str:

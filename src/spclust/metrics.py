@@ -22,12 +22,12 @@ from .numerics import _check_integer_labels
 
 @dataclass
 class Partition:
-    """Cluster labels 0..k-1 over n samples, every label value used."""
+    """Cluster labels 0..k-1 over n samples, every label value used (integral floats count)."""
 
     labels: np.ndarray
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=int)
+        self.labels = _check_integer_labels(self.labels).astype(int)
         if self.labels.ndim != 1 or self.labels.size == 0:
             raise ValueError("labels must be a non-empty 1-D integer array")
         if self.labels.min() < 0:

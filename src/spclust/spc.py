@@ -122,9 +122,9 @@ def _check_field_types(config) -> None:
             object.__setattr__(config, f.name, number)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SpcConfig:
-    """Solver parameters.
+    """Solver parameters, passed by keyword.
 
     alpha > 1 weights the similarity-preserving pull toward the kernel;
     alpha == 1 exactly disables it (the plain self-expressive variant).
@@ -155,6 +155,8 @@ class SpcConfig:
             raise ValueError("max_iters must be >= 1")
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -52,7 +52,7 @@ from .kernels import (
 from .metrics import Partition, accuracy, nmi, purity
 from .mkl import run_mspc
 from .numerics import _check_integer_labels
-from .spc import SpcConfig, _check_field_types, run_spc
+from .spc import SpcConfig, run_spc
 
 REPORT_VERSION = "spc-report/2"
 
@@ -461,45 +461,36 @@ def kernel_label(K: KernelMatrix) -> str:
 # experiment configuration
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig(SpcConfig):
     """Everything one run needs: data source, kernel choice, solver knobs.
 
     ``source`` and ``kernel`` take the same strings as resolve_dataset and
-    build_kernel_choice; the solver fields are those of SpcConfig. Values
-    may come from a JSON config file, with command-line flags taking
-    precedence. Types, the mode, the mode/kernel pairing and the solver
-    ranges are checked at construction, whatever the values came from.
+    build_kernel_choice; the solver fields are inherited from SpcConfig.
+    Values may come from a JSON config file, with command-line flags taking
+    precedence. Types, the solver ranges, the mode and the mode/kernel
+    pairing are checked at construction, whatever the values came from.
     """
 
     source: str
     kernel: str = "bank"
     mode: str = "mspc"
+    out: str = "."
     # defaults keep the kernel costs positive for the full bank; see README
     # for the tuned settings used in the demos
     alpha: float = 1.2
     beta: float = 100.0
     gamma: float = 1.0
     clusters: int = 2
-    max_iters: int = 200
-    rel_tol: float = 1e-5
-    adapt_beta: bool = False
-    seed: int = 0
-    out: str = "."
 
     def __post_init__(self):
-        _check_field_types(self)
+        super().__post_init__()
         if self.mode not in ("spc", "mspc"):
             raise ValueError(f"mode must be 'spc' or 'mspc', got {self.mode!r}")
         if self.mode == "spc" and self.kernel == "bank":
             raise ValueError(
                 "mode 'spc' runs on a single kernel; pick gaussian:t, poly:a,b, or linear"
             )
-        self.solver_config()  # range checks on the solver fields
-
-    def solver_config(self) -> SpcConfig:
-        """The SpcConfig made of this config's fields of the same names."""
-        return SpcConfig(**{f.name: getattr(self, f.name) for f in dataclass_fields(SpcConfig)})
 
     @classmethod
     def from_sources(cls, config_path: Optional[str], overrides: dict) -> "ExperimentConfig":
@@ -509,7 +500,8 @@ class ExperimentConfig:
             with open(config_path) as fh:
                 try:
                     raw = json.load(fh)
-                except ValueError as e:  # bad JSON, bad UTF-8, an integer past Python's digit limit
+                # bad JSON, bad UTF-8, an integer past Python's digit limit, nesting too deep to decode
+                except (ValueError, RecursionError) as e:
                     raise ValueError(f"{config_path}: not valid JSON ({e})") from None
             if not isinstance(raw, dict):
                 raise ValueError(f"{config_path}: config must be a JSON object")
@@ -645,14 +637,14 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     carries ground-truth labels.
     """
     t0 = time.perf_counter()
+    os.makedirs(cfg.out, exist_ok=True)  # a bad output path fails before the solve
     X = resolve_dataset(cfg.source)
     bank = build_kernel_choice(X, cfg.kernel)
-    solver_cfg = cfg.solver_config()
     if cfg.mode == "spc":
-        result = run_spc(bank[0], solver_cfg)
+        result = run_spc(bank[0], cfg)
         weights = None
     else:
-        result, state = run_mspc(bank, solver_cfg)
+        result, state = run_mspc(bank, cfg)
         weights = [float(w) for w in state.weights]
 
     report = RunReport(
@@ -666,7 +658,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         rel_change_trace=list(result.trace.rel_change),
         timings={"total_seconds": time.perf_counter() - t0},
     )
-    os.makedirs(cfg.out, exist_ok=True)
     _atomic_write(os.path.join(cfg.out, "report.txt"), [report.to_text()])
     save_labels(result.labels, os.path.join(cfg.out, "labels.txt"))
     save_matrix(result.graph, os.path.join(cfg.out, "graph.csv"))
@@ -685,7 +676,7 @@ def emit_scatter_svg(X: Dataset, labels, path: str) -> None:
     """
     if X.n_features != 2:
         raise ValueError(f"scatter plots need exactly 2 features, got {X.n_features}")
-    lab = labels.labels if isinstance(labels, Partition) else np.asarray(labels, dtype=int)
+    lab = labels.labels if isinstance(labels, Partition) else _check_integer_labels(labels).astype(int)
     if lab.shape != (X.n_samples,):
         raise ValueError(f"{lab.size} labels for {X.n_samples} samples")
 

@@ -1,10 +1,13 @@
 import json
 import os
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 import spclust as sp
+import spclust.cli as cli
+import spclust.workbench as workbench
 from spclust.cli import main
 
 
@@ -151,6 +154,39 @@ def test_config_file_with_flag_override(tmp_path):
     assert config["beta"] == 0.125
 
 
+def test_flag_turns_a_config_boolean_off(tmp_path):
+    out = tmp_path / "run"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "source": "moons:n=40,noise=0.06,seed=1",
+                "kernel": "gaussian:0.01",
+                "alpha": 4.0,
+                "beta": 0.125,
+                "adapt_beta": True,
+            }
+        )
+    )
+    # without the anneal this run ends with one component, so it does not converge
+    assert main(["spc", "--config", str(cfg), "--no-adapt-beta", "--out", str(out)]) == 2
+    assert sp.RunReport.from_text((out / "report.txt").read_text()).config["adapt_beta"] is False
+
+
+def test_solver_flags_follow_the_config_fields(tmp_path, monkeypatch):
+    # a field added to the config gets its flag and its report key with no change to the CLI;
+    # the annotation is a string, as in the package's modules
+    @dataclass(frozen=True, kw_only=True)
+    class Extended(sp.ExperimentConfig):
+        z_step: "str" = "clip"
+
+    monkeypatch.setattr(cli, "ExperimentConfig", Extended)
+    out = tmp_path / "run"
+    args = ["moons:n=40,noise=0.06,seed=1", "--kernel", "gaussian:0.01", "--alpha", "4", "--beta", "0.125"]
+    assert main(["spc", *args, "--adapt-beta", "--z-step", "exact", "--out", str(out)]) == 0
+    assert sp.RunReport.from_text((out / "report.txt").read_text()).config["z_step"] == "exact"
+
+
 def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["spc", "moons", "--alpha", "abc"]) == 1
     assert main(["warp", "moons"]) == 1
@@ -173,6 +209,24 @@ def test_non_finite_setting_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_negative_seed_exits_one_naming_the_field(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["spc", "moons:n=40", "--kernel", "linear", "--seed", "-1", "--out", str(out)]) == 1
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bad_output_path_fails_before_the_solve(tmp_path, monkeypatch, capsys):
+    calls = []
+    real = workbench.run_spc
+    monkeypatch.setattr(workbench, "run_spc", lambda *a: calls.append(a) or real(*a))
+    out = tmp_path / "taken"
+    out.write_text("a regular file\n")
+    assert main(["spc", "moons:n=40", "--kernel", "linear", "--out", str(out)]) == 1
+    assert str(out) in capsys.readouterr().err
+    assert calls == []
+
+
 def test_config_integer_too_large_for_a_float_exits_one(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"source": "moons:n=20", "kernel": "linear", "beta": 1%s}' % ("0" * 400))
@@ -186,6 +240,15 @@ def test_config_integer_beyond_the_digit_limit_names_the_file(tmp_path, capsys):
     # Python refuses to parse an integer literal of more than 4300 digits
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"source": "moons:n=20", "kernel": "linear", "beta": 1%s}' % ("0" * 5000))
+    out = tmp_path / "run"
+    assert main(["spc", "--config", str(cfg), "--out", str(out)]) == 1
+    assert str(cfg) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_nested_too_deep_names_the_file(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[" * 100000)
     out = tmp_path / "run"
     assert main(["spc", "--config", str(cfg), "--out", str(out)]) == 1
     assert str(cfg) in capsys.readouterr().err

@@ -20,6 +20,10 @@ def test_partition_validation():
         Partition(np.array([0, -1]))
     with pytest.raises(ValueError, match="non-empty"):
         Partition(np.array([], dtype=int))
+    # not truncated to [0, 1], nor a NaN cast to the most negative integer
+    for values, bad in (([0.0, 1.7], "1.7"), ([0.0, np.nan], "nan")):
+        with pytest.raises(ValueError, match=f"label 1 is {bad}, not an integer"):
+            Partition(np.array(values))
 
 
 def test_from_labels_first_seen_relabeling():

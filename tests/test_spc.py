@@ -41,6 +41,8 @@ def test_config_validation():
         small_config(max_iters=0)
     with pytest.raises(ValueError, match="rel_tol"):
         small_config(rel_tol=0.0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        small_config(seed=-1)
     for field, value in (("max_iters", 2.5), ("adapt_beta", "false"), ("alpha", "4"), ("clusters", True)):
         with pytest.raises(ValueError, match=field):
             small_config(**{field: value})

@@ -705,6 +705,9 @@ def test_svg_rejects_bad_inputs(tmp_path):
         sp.emit_scatter_svg(sp.Dataset(np.zeros((3, 4))), [0, 0, 0, 1], path)
     with pytest.raises(ValueError, match="labels"):
         sp.emit_scatter_svg(sp.Dataset(np.zeros((2, 4))), [0, 1], path)
+    with pytest.raises(ValueError, match="label 1 is 1.7, not an integer"):
+        sp.emit_scatter_svg(sp.Dataset(np.zeros((2, 4))), [0.0, 1.7, 2.2, 0.0], path)
+    assert not os.path.exists(path)
 
 
 def test_svg_handles_degenerate_spans(tmp_path):
