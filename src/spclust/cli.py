@@ -90,7 +90,7 @@ def _run_solver(args) -> int:
     report = run_experiment(cfg)
 
     state = "converged" if report.converged else "did not converge"
-    print(f"{cfg.mode}: {state} after {report.iterations} iterations, {report.components} components")
+    print(f"{cfg.mode}: {state} after {report.trace.iterations} iterations, {report.components} components")
     if report.metrics is not None:
         _print_metrics(report.metrics)
     print(f"report: {os.path.join(cfg.out, 'report.txt')}")

@@ -174,6 +174,8 @@ class SpcTrace:
     exactly c components.
     ``wall_time`` holds the seconds each iteration took; for mSPC that
     includes combining the next iteration's kernel.
+    Every series is in the run report, checked against these annotations,
+    so a series added here is reported with no report code.
     """
 
     objective: list[float] = field(default_factory=list)

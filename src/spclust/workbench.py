@@ -6,8 +6,9 @@ File formats are plain text chosen for diff-ability:
   row, values printed with 17 significant digits so float64 round-trips
   exactly; kernel and graph matrices reuse the same format;
 - labels: one integer per line;
-- run report: one JSON object ("spc-report/2"), floats as their repr, so
-  every value reads back bit for bit.
+- run report: one JSON object ("spc-report/3"), floats as their repr, so
+  every value reads back bit for bit; its schema is the field annotations
+  of RunReport and SpcTrace.
 
 Matrix files are streamed one row at a time in both directions, and neither
 side holds the whole file as a string. Each off-diagonal pair of a symmetric
@@ -32,11 +33,12 @@ import itertools
 import os
 import json
 import math
+import numbers
 import reprlib
 import time
 from array import array
-from dataclasses import asdict, dataclass, field, fields as dataclass_fields
-from typing import Iterable, Iterator, Optional
+from dataclasses import asdict, dataclass, field, fields as dataclass_fields, is_dataclass
+from typing import Iterable, Iterator, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -52,9 +54,9 @@ from .kernels import (
 from .metrics import Partition, accuracy, nmi, purity
 from .mkl import run_mspc
 from .numerics import _check_integer_labels
-from .spc import SpcConfig, run_spc
+from .spc import SpcConfig, SpcTrace, run_spc
 
-REPORT_VERSION = "spc-report/2"
+REPORT_VERSION = "spc-report/3"
 
 # a report's metrics, in this order: name -> score of a predicted partition against the truth
 _METRICS = {"accuracy": accuracy, "nmi": nmi, "purity": purity}
@@ -358,6 +360,8 @@ def generate_two_moons(n: int, noise_sigma: float = 0.08, seed: int = 0) -> Data
         raise ValueError(f"n must be even and >= 2, got {n}")
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
         raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     half = n // 2
     theta = np.linspace(0.0, np.pi, half)
     upper = np.stack([np.cos(theta), np.sin(theta)])
@@ -520,64 +524,64 @@ class ExperimentConfig(SpcConfig):
 # run reports
 
 
-# What each report key holds: a JSON type ("string", "boolean", "integer", "number",
-# or "scalar" for any of them), "array of" or "object of" one, and "or null" where a
-# run may have none. A RunReport field needs its entry here; the writer needs none.
-REPORT_KEYS = {
-    "config": "object of scalar",
-    "converged": "boolean",
-    "components": "integer",
-    "iterations": "integer",
-    "metrics": "object of number or null",
-    "weights": "array of number or null",
-    "objective_trace": "array of number",
-    "rel_change_trace": "array of number",
-    "timings": "object of number",
-    "version": "string",
-}
-
-_JSON_SCALARS = {
-    "string": (str,),
-    "boolean": (bool,),
-    "integer": (int,),
-    "number": (int, float),
-    "scalar": (str, bool, int, float),
-}
+def _type_name(hint) -> str:
+    return hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
 
 
-def _has_shape(value, shape: str) -> bool:
-    # json.loads gives bool, int, float, str, list, dict and None; a bool is
-    # never an integer or a number
-    if shape.endswith(" or null"):
-        return value is None or _has_shape(value, shape[: -len(" or null")])
-    container, _, item = shape.rpartition(" of ")
-    if container == "array":
-        return isinstance(value, list) and all(_has_shape(v, item) for v in value)
-    if container == "object":
-        return isinstance(value, dict) and all(_has_shape(v, item) for v in value.values())
-    kinds = _JSON_SCALARS[shape]
-    return isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool))
+def _fits(value, hint, where: str) -> bool:
+    """Whether a json.loads value fits a report field's type annotation.
+
+    Handles bool, int, float and str (a bool is never a number, and an int
+    is accepted for a float), list[X], dict[str, X], Optional and Union, and
+    dataclasses: an object whose keys are exactly the dataclass's fields,
+    each fitting its own annotation. A dataclass's fault raises ValueError
+    naming the key's path below where.
+    """
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:
+        return any(_fits(value, arg, where) for arg in args)
+    if origin is list:
+        return isinstance(value, list) and all(_fits(v, args[0], where) for v in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(_fits(v, args[1], where) for v in value.values())
+    if is_dataclass(hint):
+        if not isinstance(value, dict):
+            return False
+        hints = get_type_hints(hint)
+        for key in hints:
+            if key not in value:
+                raise ValueError(f"{where} is missing key {key!r}")
+        for key in value:
+            if key not in hints:
+                raise ValueError(f"{where} has unknown key {key!r}")
+        for key, item in hints.items():
+            if not _fits(value[key], item, f"{where} key {key!r}"):
+                raise ValueError(f"{where} key {key!r} must be {_type_name(item)}, got {reprlib.repr(value[key])}")
+        return True
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 @dataclass
 class RunReport:
-    """One run's report, written as one JSON object ("spc-report/2").
+    """One run's report, written as one JSON object ("spc-report/3").
 
-    to_text dumps the fields as they are and from_text checks them against
-    REPORT_KEYS, so from_text(r.to_text()) == r for every report. Floats are
-    written as their repr and read back bit for bit; a non-finite value (a
-    rel_change_trace entry is inf after an all-zero graph) is written as
-    Python's json writes it, Infinity or NaN, which json.loads reads back.
+    The field annotations, and SpcTrace's under ``trace``, are the report's
+    schema: to_text dumps the fields as they are and from_text checks them
+    against the annotations, so from_text(r.to_text()) == r for every
+    report. Floats are written as their repr and read back bit for bit; a
+    non-finite value (a rel_change entry is inf after an all-zero graph) is
+    written as Python's json writes it, Infinity or NaN, which json.loads
+    reads back.
     """
 
-    config: dict  # the ExperimentConfig's fields, with their types
+    config: dict[str, Union[str, bool, int, float]]  # the ExperimentConfig's fields, with their types
     converged: bool
     components: int
-    iterations: int
     metrics: Optional[dict[str, float]]  # REPORT_METRICS, None without truth labels
     weights: Optional[list[float]]  # kernel weights, multiple-kernel runs only
-    objective_trace: list[float] = field(default_factory=list)
-    rel_change_trace: list[float] = field(default_factory=list)
+    trace: SpcTrace
     timings: dict[str, float] = field(default_factory=dict)
     version: str = REPORT_VERSION
 
@@ -595,31 +599,24 @@ class RunReport:
             raise ValueError(f"report is not a {REPORT_VERSION} JSON object")
         if data.get("version") != REPORT_VERSION:
             raise ValueError(f"unsupported report version {data.get('version')!r}; expected {REPORT_VERSION}")
-        for key in REPORT_KEYS:
-            if key not in data:
-                raise ValueError(f"report is missing key {key!r}")
-        for key in data:
-            if key not in REPORT_KEYS:
-                raise ValueError(f"report has unknown key {key!r}")
-        for key, shape in REPORT_KEYS.items():
-            if not _has_shape(data[key], shape):
-                raise ValueError(f"report key {key!r} must be {shape}, got {reprlib.repr(data[key])}")
+        _fits(data, cls, "report")
         if data["metrics"] is not None and set(data["metrics"]) != set(REPORT_METRICS):
             raise ValueError(
                 f"report key 'metrics' must hold exactly {', '.join(REPORT_METRICS)}, got {', '.join(data['metrics'])}"
             )
-        if len(data["objective_trace"]) != len(data["rel_change_trace"]):
+        lengths = {key: len(series) for key, series in data["trace"].items()}
+        if len(set(lengths.values())) > 1:
             raise ValueError(
-                f"report keys 'objective_trace' and 'rel_change_trace' differ in length: "
-                f"{len(data['objective_trace'])} and {len(data['rel_change_trace'])}"
+                "report key 'trace' holds series of unequal length: "
+                + ", ".join(f"{key} {length}" for key, length in lengths.items())
             )
-        return cls(**data)
+        return cls(**{**data, "trace": SpcTrace(**data["trace"])})
 
 
 def report_determinism_view(text: str) -> str:
-    """Report text without its timings, for run-to-run diffs."""
+    """Report text without its clock readings, the timings and the trace's wall_time, for run-to-run diffs."""
     view = asdict(RunReport.from_text(text))
-    del view["timings"]
+    del view["timings"], view["trace"]["wall_time"]
     return json.dumps(view) + "\n"
 
 
@@ -637,9 +634,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     carries ground-truth labels.
     """
     t0 = time.perf_counter()
-    os.makedirs(cfg.out, exist_ok=True)  # a bad output path fails before the solve
     X = resolve_dataset(cfg.source)
     bank = build_kernel_choice(X, cfg.kernel)
+    os.makedirs(cfg.out, exist_ok=True)  # a bad output path fails before the solve
     if cfg.mode == "spc":
         result = run_spc(bank[0], cfg)
         weights = None
@@ -651,11 +648,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         config=asdict(cfg),
         converged=result.converged,
         components=result.component_count,
-        iterations=result.trace.iterations,
         metrics=None if X.labels is None else _score_labels(result.labels, X.labels),
         weights=weights,
-        objective_trace=list(result.trace.objective),
-        rel_change_trace=list(result.trace.rel_change),
+        trace=result.trace,
         timings={"total_seconds": time.perf_counter() - t0},
     )
     _atomic_write(os.path.join(cfg.out, "report.txt"), [report.to_text()])

@@ -216,6 +216,28 @@ def test_negative_seed_exits_one_naming_the_field(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_moons_refuses_a_negative_seed(tmp_path, capsys):
+    assert main(["gen-moons", "--n", "20", "--seed", "-1", "--out", str(tmp_path)]) == 1
+    assert "seed" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moons:n=41", "--kernel", "linear"],
+        ["moons:noise=nan", "--kernel", "linear"],
+        ["moons:n=40,seed=-1", "--kernel", "linear"],
+        ["moons", "--kernel", "gaussian:-1"],
+    ],
+)
+def test_bad_source_or_kernel_leaves_no_output_directory(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert main(["spc", *argv, "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_output_path_fails_before_the_solve(tmp_path, monkeypatch, capsys):
     calls = []
     real = workbench.run_spc

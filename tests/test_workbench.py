@@ -12,9 +12,9 @@ import spclust as sp
 import spclust.workbench as workbench
 from spclust.workbench import (
     ExperimentConfig,
-    REPORT_KEYS,
     REPORT_VERSION,
     RunReport,
+    SpcTrace,
     build_kernel_choice,
     companion_labels_path,
     format_matrix,
@@ -397,6 +397,9 @@ def test_two_moons_seeded_and_validated():
         sp.generate_two_moons(7, 0.1)
     with pytest.raises(ValueError, match="noise"):
         sp.generate_two_moons(8, -0.1)
+    for seed in (-1, 1.5, True):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer >= 0, got {seed!r}")):
+            sp.generate_two_moons(8, 0.1, seed=seed)
 
 
 def test_two_moons_refuses_non_finite_noise():
@@ -523,16 +526,26 @@ def test_config_fields_follow_solver_config(tmp_path):
 # --- reports -----------------------------------------------------------------------------------
 
 
+def sample_trace():
+    return SpcTrace(
+        objective=[10.5, -3.25],
+        objective_after_embedding=[11.0, -3.0],
+        objective_after_graph=[10.75, -3.5],
+        rel_change=[1.0, 0.125],
+        near_zero_eigs=[1, 2],
+        beta=[0.125, 0.25],
+        wall_time=[0.5, 0.375],
+    )
+
+
 def sample_report():
     return RunReport(
         config={"source": "moons", "alpha": 1.2, "clusters": 2, "adapt_beta": True},
         converged=True,
         components=2,
-        iterations=17,
         metrics={"accuracy": 0.983333, "nmi": 0.882255, "purity": 0.983333},
         weights=[0.25, 0.75],
-        objective_trace=[10.5, -3.25],
-        rel_change_trace=[1.0, 0.125],
+        trace=sample_trace(),
         timings={"total_seconds": 1.25},
     )
 
@@ -540,22 +553,24 @@ def sample_report():
 def test_report_round_trip():
     rep = sample_report()
     back = RunReport.from_text(rep.to_text())
-    assert back == rep
+    assert back == rep and isinstance(back.trace, SpcTrace)
     # values that no fixed number of digits keeps: every float reads back bit for bit
     rep.metrics = {"accuracy": 59 / 60, "nmi": 0.1 + 0.2, "purity": 59 / 60}
     rep.timings = {"total_seconds": 0.1234567}
-    rep.objective_trace = [1 / 3, -2.5e-300]
-    rep.rel_change_trace = [float("inf"), 5e-324]
+    rep.trace.objective = [1 / 3, -2.5e-300]
+    rep.trace.rel_change = [float("inf"), 5e-324]
+    rep.trace.wall_time = [0.1 + 0.7, 1e-7]
     assert RunReport.from_text(rep.to_text()) == rep
-    assert json.loads(rep.to_text())["version"] == "spc-report/2" == REPORT_VERSION
-    rep.objective_trace[1] = float("nan")  # nan != nan, so the report no longer equals itself
-    assert np.isnan(RunReport.from_text(rep.to_text()).objective_trace[1])
+    assert json.loads(rep.to_text())["version"] == "spc-report/3" == REPORT_VERSION
+    rep.trace.objective[1] = float("nan")  # nan != nan, so the report no longer equals itself
+    assert np.isnan(RunReport.from_text(rep.to_text()).trace.objective[1])
 
 
 def test_report_without_optional_sections():
     rep = sample_report()
     rep.metrics = None
     rep.weights = None
+    rep.trace = SpcTrace()  # a trace with no iterations is well formed
     text = rep.to_text()
     assert json.loads(text)["metrics"] is None and json.loads(text)["weights"] is None
     assert RunReport.from_text(text) == rep
@@ -564,44 +579,95 @@ def test_report_without_optional_sections():
 _DROP = object()
 
 
+def _edited(data, changes):
+    return {k: v for k, v in {**data, **changes}.items() if v is not _DROP}
+
+
 def _edited_report(**changes):
     # sample_report's text with keys changed, added, or dropped (set to _DROP)
-    data = {**dataclasses.asdict(sample_report()), **changes}
-    return json.dumps({k: v for k, v in data.items() if v is not _DROP})
+    return json.dumps(_edited(dataclasses.asdict(sample_report()), changes))
+
+
+def _edited_trace(**changes):
+    # sample_trace's object with series changed, added, or dropped (set to _DROP)
+    return _edited(dataclasses.asdict(sample_trace()), changes)
 
 
 def test_report_parse_errors():
     for text, message in (
-        ("spc-report/1\n[config]\nsource = moons\n", "not a spc-report/2 JSON object"),
-        ('{"version": "spc-report/2",', "not a spc-report/2 JSON object"),
-        ("[1, 2]", "not a spc-report/2 JSON object"),
-        ("[" * 100000, "not a spc-report/2 JSON object"),
-        (_edited_report(version="spc-report/1"), "version 'spc-report/1'; expected spc-report/2"),
-        (_edited_report(converged=_DROP), "missing key 'converged'"),
-        (_edited_report(stop_reason="tol"), "unknown key 'stop_reason'"),
-        (_edited_report(components=True), "'components' must be integer, got True"),
-        (_edited_report(iterations=17.0), "'iterations' must be integer, got 17.0"),
-        (_edited_report(converged="yes"), "'converged' must be boolean"),
-        (_edited_report(weights=[0.25, False]), "'weights' must be array of number or null"),
-        (_edited_report(timings=None), "'timings' must be object of number, got None"),
-        (_edited_report(config={"nested": [1]}), "'config' must be object of scalar"),
+        ("spc-report/1\n[config]\nsource = moons\n", "not a spc-report/3 JSON object"),
+        ('{"version": "spc-report/3",', "not a spc-report/3 JSON object"),
+        ("[1, 2]", "not a spc-report/3 JSON object"),
+        ("[" * 100000, "not a spc-report/3 JSON object"),
+        (_edited_report(version="spc-report/1"), "version 'spc-report/1'; expected spc-report/3"),
+        (_edited_report(version="spc-report/2"), "version 'spc-report/2'; expected spc-report/3"),
+        (_edited_report(converged=_DROP), "report is missing key 'converged'"),
+        (_edited_report(stop_reason="tol"), "report has unknown key 'stop_reason'"),
+        (_edited_report(iterations=2), "report has unknown key 'iterations'"),
+        (_edited_report(components=True), "'components' must be int, got True"),
+        (_edited_report(components=2.0), "'components' must be int, got 2.0"),
+        (_edited_report(converged="yes"), "'converged' must be bool"),
+        (_edited_report(weights=[0.25, False]), "'weights' must be Optional[list[float]]"),
+        (_edited_report(timings=None), "'timings' must be dict[str, float], got None"),
+        (_edited_report(config={"nested": [1]}), "'config' must be dict[str, Union[str, bool, int, float]]"),
         (_edited_report(metrics={"accuracy": 1.0, "nmi": 1.0}), "'metrics' must hold exactly accuracy, nmi, purity"),
-        (_edited_report(rel_change_trace=[1.0]), "'objective_trace' and 'rel_change_trace' differ in length: 2 and 1"),
+        (_edited_report(trace=[1.0, 0.5]), "report key 'trace' must be SpcTrace, got [1.0, 0.5]"),
+        (_edited_report(trace=_edited_trace(stop=["tol", "tol"])), "report key 'trace' has unknown key 'stop'"),
+        (
+            _edited_report(trace=_edited_trace(near_zero_eigs=[1, 2.0])),
+            "report key 'trace' key 'near_zero_eigs' must be list[int], got [1, 2.0]",
+        ),
+        (
+            _edited_report(trace=_edited_trace(beta=[0.125, True])),
+            "report key 'trace' key 'beta' must be list[float], got [0.125, True]",
+        ),
+        (
+            _edited_report(trace=_edited_trace(rel_change=[1.0])),
+            "report key 'trace' holds series of unequal length: objective 2, objective_after_embedding 2, "
+            "objective_after_graph 2, rel_change 1, near_zero_eigs 2, beta 2, wall_time 2",
+        ),
     ):
         with pytest.raises(ValueError, match=re.escape(message)):
             RunReport.from_text(text)
 
 
 def test_report_reader_checks_every_field():
-    # a field added to RunReport needs its entry in the reader's key check
-    assert [f.name for f in dataclasses.fields(RunReport)] == list(REPORT_KEYS)
+    # the reader's schema is the field annotations: a text without any one
+    # field of RunReport, or of SpcTrace under 'trace', is refused by name
+    for f in dataclasses.fields(RunReport):
+        message = "report version None" if f.name == "version" else f"report is missing key {f.name!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunReport.from_text(_edited_report(**{f.name: _DROP}))
+    for f in dataclasses.fields(SpcTrace):
+        with pytest.raises(ValueError, match=re.escape(f"report key 'trace' is missing key {f.name!r}")):
+            RunReport.from_text(_edited_report(trace=_edited_trace(**{f.name: _DROP})))
+
+
+def test_report_schema_follows_the_trace_annotations(monkeypatch):
+    # a series added to SpcTrace reaches the report, checked, with no report code
+    @dataclasses.dataclass
+    class TraceWithStops(SpcTrace):
+        stop: list[str] = dataclasses.field(default_factory=list)
+
+    monkeypatch.setattr(workbench, "SpcTrace", TraceWithStops)
+    rep = sample_report()
+    rep.trace = TraceWithStops(**dataclasses.asdict(sample_trace()), stop=["beta", "tol"])
+    assert RunReport.from_text(rep.to_text()) == rep
+    data = json.loads(rep.to_text())
+    del data["trace"]["stop"]
+    with pytest.raises(ValueError, match="report key 'trace' is missing key 'stop'"):
+        RunReport.from_text(json.dumps(data))
 
 
 def test_determinism_view_strips_timings():
     text = sample_report().to_text()
-    view = report_determinism_view(text)
-    assert "total_seconds" not in view and "timings" not in json.loads(view)
-    assert json.loads(view)["config"] == sample_report().config
+    view = json.loads(report_determinism_view(text))
+    assert "total_seconds" not in json.dumps(view) and "timings" not in view
+    assert view["config"] == sample_report().config
+    # the trace's wall times are the report's other clock readings
+    trace = dataclasses.asdict(sample_trace())
+    del trace["wall_time"]
+    assert view["trace"] == trace
 
 
 # --- end to end ----------------------------------------------------------------------------------
@@ -638,6 +704,23 @@ def test_run_experiment_writes_report_labels_graph(tmp_path):
     with open(os.path.join(out, "report.txt")) as fh:
         parsed = RunReport.from_text(fh.read())
     assert parsed == rep  # full-precision metrics, timings and traces
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [{}, dict(kernel="bank", mode="mspc", alpha=1.0, beta=0.5, gamma=3.0)],
+    ids=["spc", "mspc"],
+)
+def test_report_carries_the_run_trace(tmp_path, monkeypatch, settings):
+    cfg = run_cfg(tmp_path, **settings)
+    solver = f"run_{cfg.mode}"
+    real, runs = getattr(workbench, solver), []
+    monkeypatch.setattr(workbench, solver, lambda *a: runs.append(real(*a)) or runs[-1])
+    rep = sp.run_experiment(cfg)
+    result = runs[0] if cfg.mode == "spc" else runs[0][0]
+    parsed = RunReport.from_text((tmp_path / "run" / "report.txt").read_text())
+    assert parsed == rep
+    assert parsed.trace == result.trace and parsed.trace.iterations > 1
 
 
 def test_run_experiment_requires_single_kernel_for_spc(tmp_path, monkeypatch):
