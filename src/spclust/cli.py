@@ -14,6 +14,7 @@ import argparse
 import os
 import sys
 from dataclasses import fields
+from typing import get_type_hints
 
 from .workbench import (
     REPORT_METRICS,
@@ -44,9 +45,6 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
-# the parser of each config field type; a bool field takes --name and --no-name
-_FLAG_TYPES = {"int": int, "float": float, "str": str}
-
 _FLAG_HELP = {
     "kernel": "gaussian:t | poly:a,b | linear | bank",
     "adapt_beta": "double/halve beta until the component count matches --clusters",
@@ -63,16 +61,17 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
         help="dense matrix file (columns are samples), or a source string like moons:n=300",
     )
     p.add_argument("--config", metavar="PATH", help="JSON config file; flags override its values")
-    # one flag per config field, unset unless given so the config file's value stands;
-    # the subcommand sets the mode
-    for f in fields(ExperimentConfig):
-        if f.name in ("source", "mode"):
+    # one flag per config field, parsed by its resolved annotation and unset unless given so
+    # the config file's value stands; a bool field takes --name and --no-name, and the
+    # subcommand sets the mode
+    for name, hint in get_type_hints(ExperimentConfig).items():
+        if name in ("source", "mode"):
             continue
-        flag = "--" + f.name.replace("_", "-")
-        if f.type == "bool":
-            p.add_argument(flag, action=argparse.BooleanOptionalAction, default=None, help=_FLAG_HELP.get(f.name))
+        flag = "--" + name.replace("_", "-")
+        if hint is bool:
+            p.add_argument(flag, action=argparse.BooleanOptionalAction, default=None, help=_FLAG_HELP.get(name))
         else:
-            p.add_argument(flag, type=_FLAG_TYPES[f.type], help=_FLAG_HELP.get(f.name))
+            p.add_argument(flag, type=hint, help=_FLAG_HELP.get(name))
 
 
 def _source_string(data: str) -> str:

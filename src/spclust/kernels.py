@@ -167,11 +167,9 @@ def _gram(X: Dataset) -> np.ndarray:
 
 def gaussian_kernel(X: Dataset, t: float) -> KernelMatrix:
     """exp(-||x - y||^2 / (t * d_max^2)) with d_max the largest pairwise distance."""
-    if not t > 0:
-        raise ValueError(f"gaussian scale t must be positive, got {t}")
+    spec = KernelSpec("gaussian", t=t)
     D = pairwise_sq_dist(X)
-    K = _gaussian_values(D, _max_sq_dist(D), t, out=D)
-    return KernelMatrix(K, spec=KernelSpec("gaussian", t=t))
+    return KernelMatrix(_gaussian_values(D, _max_sq_dist(D), t, out=D), spec=spec)
 
 
 def polynomial_kernel(X: Dataset, a: float, b: int) -> KernelMatrix:

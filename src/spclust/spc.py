@@ -63,9 +63,10 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 import time
-from dataclasses import dataclass, field, fields
-from typing import Callable, Optional
+from dataclasses import dataclass, field, is_dataclass
+from typing import Callable, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 from scipy.linalg.blas import ddot
@@ -95,31 +96,71 @@ MAX_BETA_ADJUSTMENTS = 30
 # rows measured alike in combine_kernels, 16 and 128 slower)
 _BLOCK_ROWS = 64
 
-# values each field annotation accepts; a bool never counts as a number
-_FIELD_KINDS = {"float": numbers.Real, "int": numbers.Integral, "bool": bool, "str": str}
+
+def _type_name(hint) -> str:
+    return hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
+
+
+def _fits(value, hint, where: str) -> bool:
+    """Whether a value fits a resolved type annotation: the one rule for config fields and reports.
+
+    Handles bool, int, float and str (a bool is never a number, any real
+    number fits float and any integer fits int, so an int fits float),
+    list[X], dict[str, X], Optional and Union, and dataclasses: a dict whose
+    keys are exactly the dataclass's fields, each fitting its own
+    annotation. A dataclass's fault raises ValueError naming the key's path
+    below where.
+    """
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:
+        return any(_fits(value, arg, where) for arg in args)
+    if origin is list:
+        return isinstance(value, list) and all(_fits(v, args[0], where) for v in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(_fits(v, args[1], where) for v in value.values())
+    if is_dataclass(hint):
+        if not isinstance(value, dict):
+            return False
+        hints = get_type_hints(hint)
+        for key in hints:
+            if key not in value:
+                raise ValueError(f"{where} is missing key {key!r}")
+        for key in value:
+            if key not in hints:
+                raise ValueError(f"{where} has unknown key {key!r}")
+        for key, item in hints.items():
+            if not _fits(value[key], item, f"{where} key {key!r}"):
+                raise ValueError(f"{where} key {key!r} must be {_type_name(item)}, got {reprlib.repr(value[key])}")
+        return True
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, {float: numbers.Real, int: numbers.Integral}.get(hint, hint))
 
 
 def _check_field_types(config) -> None:
-    """Check every field of a config dataclass against its annotation.
+    """Check every field of a config dataclass against its resolved annotation.
 
     float fields take any finite real number and are stored as float, int
-    fields take any integer, bool and str fields only bool and str. An
-    integer too large for a float is refused like an infinite one.
+    fields take any integer and are stored as int, bool and str fields only
+    bool and str. An integer too large for a float is refused like an
+    infinite one.
     """
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if not isinstance(value, _FIELD_KINDS[f.type]) or isinstance(value, bool) != (f.type == "bool"):
-            raise ValueError(f"config field {f.name!r} must be {f.type}, got {value!r}")
-        if f.type == "float":
+    for name, hint in get_type_hints(type(config)).items():
+        value = getattr(config, name)
+        if not _fits(value, hint, name):
+            raise ValueError(f"config field {name!r} must be {_type_name(hint)}, got {value!r}")
+        if hint is int:
+            object.__setattr__(config, name, int(value))
+        elif hint is float:
             try:
                 number = float(value)
             except OverflowError:
                 raise ValueError(
-                    f"config field {f.name!r} must be finite, got an integer too large for a float"
+                    f"config field {name!r} must be finite, got an integer too large for a float"
                 ) from None
             if not math.isfinite(number):
-                raise ValueError(f"config field {f.name!r} must be finite, got {value!r}")
-            object.__setattr__(config, f.name, number)
+                raise ValueError(f"config field {name!r} must be finite, got {value!r}")
+            object.__setattr__(config, name, number)
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -34,11 +34,10 @@ import os
 import json
 import math
 import numbers
-import reprlib
 import time
 from array import array
-from dataclasses import asdict, dataclass, field, fields as dataclass_fields, is_dataclass
-from typing import Iterable, Iterator, Optional, Union, get_args, get_origin, get_type_hints
+from dataclasses import asdict, dataclass, field, fields as dataclass_fields
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -54,7 +53,7 @@ from .kernels import (
 from .metrics import Partition, accuracy, nmi, purity
 from .mkl import run_mspc
 from .numerics import _check_integer_labels
-from .spc import SpcConfig, SpcTrace, run_spc
+from .spc import SpcConfig, SpcTrace, _fits, run_spc
 
 REPORT_VERSION = "spc-report/3"
 
@@ -440,7 +439,7 @@ def build_kernel_choice(X: Dataset, choice: str) -> list[KernelMatrix]:
         if len(parts) != 2:
             raise ValueError(f"bad polynomial parameters in {choice!r}; expected poly:a,b")
         try:
-            a, b = float(parts[0]), int(parts[1])
+            a, b = float(parts[0]), float(parts[1])  # KernelSpec judges the exponent
         except ValueError:
             raise ValueError(f"bad polynomial parameters in {choice!r}; expected poly:a,b") from None
         return [normalize_kernel(polynomial_kernel(X, a, b))]
@@ -450,14 +449,14 @@ def build_kernel_choice(X: Dataset, choice: str) -> list[KernelMatrix]:
 
 
 def kernel_label(K: KernelMatrix) -> str:
-    """Short text form of a kernel's parameters, for manifests and reports."""
+    """Short text form of a kernel's parameters, which build_kernel_choice reads back to the same spec."""
     spec = K.spec
     if spec is None:
         return "combined"
     if spec.family == "gaussian":
-        return f"gaussian:{spec.t:g}"
+        return f"gaussian:{float(spec.t)!r}".removesuffix(".0")
     if spec.family == "polynomial":
-        return f"poly:{spec.a:g},{spec.b}"
+        return f"poly:{float(spec.a)!r}".removesuffix(".0") + f",{spec.b}"
     return "linear"
 
 
@@ -522,45 +521,6 @@ class ExperimentConfig(SpcConfig):
 
 # ---------------------------------------------------------------------------
 # run reports
-
-
-def _type_name(hint) -> str:
-    return hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
-
-
-def _fits(value, hint, where: str) -> bool:
-    """Whether a json.loads value fits a report field's type annotation.
-
-    Handles bool, int, float and str (a bool is never a number, and an int
-    is accepted for a float), list[X], dict[str, X], Optional and Union, and
-    dataclasses: an object whose keys are exactly the dataclass's fields,
-    each fitting its own annotation. A dataclass's fault raises ValueError
-    naming the key's path below where.
-    """
-    origin, args = get_origin(hint), get_args(hint)
-    if origin is Union:
-        return any(_fits(value, arg, where) for arg in args)
-    if origin is list:
-        return isinstance(value, list) and all(_fits(v, args[0], where) for v in value)
-    if origin is dict:
-        return isinstance(value, dict) and all(_fits(v, args[1], where) for v in value.values())
-    if is_dataclass(hint):
-        if not isinstance(value, dict):
-            return False
-        hints = get_type_hints(hint)
-        for key in hints:
-            if key not in value:
-                raise ValueError(f"{where} is missing key {key!r}")
-        for key in value:
-            if key not in hints:
-                raise ValueError(f"{where} has unknown key {key!r}")
-        for key, item in hints.items():
-            if not _fits(value[key], item, f"{where} key {key!r}"):
-                raise ValueError(f"{where} key {key!r} must be {_type_name(item)}, got {reprlib.repr(value[key])}")
-        return True
-    if isinstance(value, bool):
-        return hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
 
 
 @dataclass

@@ -173,12 +173,13 @@ def test_flag_turns_a_config_boolean_off(tmp_path):
     assert sp.RunReport.from_text((out / "report.txt").read_text()).config["adapt_beta"] is False
 
 
-def test_solver_flags_follow_the_config_fields(tmp_path, monkeypatch):
-    # a field added to the config gets its flag and its report key with no change to the CLI;
-    # the annotation is a string, as in the package's modules
+@pytest.mark.parametrize("annotation", ["str", str], ids=["string", "plain"])
+def test_solver_flags_follow_the_config_fields(tmp_path, monkeypatch, annotation):
+    # a field added to the config gets its flag and its report key with no change to the CLI,
+    # whether its annotation is a string, as in the package's modules, or the plain type
     @dataclass(frozen=True, kw_only=True)
     class Extended(sp.ExperimentConfig):
-        z_step: "str" = "clip"
+        z_step: annotation = "clip"
 
     monkeypatch.setattr(cli, "ExperimentConfig", Extended)
     out = tmp_path / "run"

@@ -270,3 +270,17 @@ def test_one_routine_forms_the_symmetric_part():
             if isinstance(fn, ast.FunctionDef) and (module, fn.name) != (spclust.numerics, "_symmetric_part"):
                 assert not self_transpose_sums(fn), (module.__name__, fn.name)
     assert self_transpose_sums(ast.parse(inspect.getsource(spclust.numerics._symmetric_part)))
+
+
+def test_annotations_are_read_resolved():
+    # which values a config field, flag or report key takes is spc._fits over the resolved
+    # annotations (typing.get_type_hints); a dataclass field's .type is the annotation as
+    # written, a string under postponed evaluation, so no module reads a .type
+    for info in pkgutil.iter_modules(spclust.__path__):
+        module = importlib.import_module(f"spclust.{info.name}")
+        reads = [
+            node.lineno
+            for node in ast.walk(ast.parse(inspect.getsource(module)))
+            if isinstance(node, ast.Attribute) and node.attr == "type"
+        ]
+        assert not reads, (module.__name__, reads)

@@ -56,10 +56,11 @@ def test_config_validation():
         sp.SpcConfig(alpha=10**400, beta=1.0, gamma=1.0, clusters=2)
     # alpha = 1 is the no-preservation variant and is allowed
     small_config(alpha=1.0)
-    # numpy scalars pass, and float fields are stored as float
+    # numpy scalars pass, float fields are stored as float and int fields as int
     cfg = small_config(alpha=np.float64(3.0), gamma=2, clusters=np.int64(3), max_iters=np.int64(5))
     assert (cfg.alpha, cfg.gamma, cfg.clusters, cfg.max_iters) == (3.0, 2.0, 3, 5)
     assert type(cfg.gamma) is float
+    assert type(cfg.clusters) is int and type(cfg.max_iters) is int
 
 
 # --- laplacian and embedding --------------------------------------------------

@@ -436,8 +436,11 @@ def test_build_kernel_choice():
     (K,) = build_kernel_choice(X, "gaussian:0.5")
     assert K.spec == sp.KernelSpec("gaussian", t=0.5)
     assert K.values.min() == 0.0 and K.values.max() == 1.0
-    (K,) = build_kernel_choice(X, "poly:1,2")
-    assert (K.spec.a, K.spec.b) == (1.0, 2)
+    for choice in ("poly:1,2", "poly:1,2.0"):  # an integral float exponent is an integer
+        (K,) = build_kernel_choice(X, choice)
+        assert (K.spec.a, K.spec.b) == (1.0, 2) and type(K.spec.b) is int
+    with pytest.raises(ValueError, match="polynomial exponent b must be an integer >= 1, got 2.5"):
+        build_kernel_choice(X, "poly:1,2.5")
     (K,) = build_kernel_choice(X, "linear")
     assert K.spec.family == "linear"
     for bad in ("gaussian", "poly:1", "poly:a,b", "rbf:1"):
@@ -451,6 +454,10 @@ def test_kernel_labels():
     assert kernel_label(build_kernel_choice(X, "poly:0,2")[0]) == "poly:0,2"
     assert kernel_label(build_kernel_choice(X, "linear")[0]) == "linear"
     assert kernel_label(sp.KernelMatrix(np.eye(2))) == "combined"
+    # every label reads back to the kernel it names
+    for choice in ("gaussian:0.0123456789", "gaussian:1e-5", f"gaussian:{1 / 3!r}", "poly:0.123456789,3", "poly:-0.5,1"):
+        (K,) = build_kernel_choice(X, choice)
+        assert build_kernel_choice(X, kernel_label(K))[0].spec == K.spec, choice
 
 
 # --- configuration --------------------------------------------------------------------------
@@ -708,8 +715,8 @@ def test_run_experiment_writes_report_labels_graph(tmp_path):
 
 @pytest.mark.parametrize(
     "settings",
-    [{}, dict(kernel="bank", mode="mspc", alpha=1.0, beta=0.5, gamma=3.0)],
-    ids=["spc", "mspc"],
+    [{}, dict(kernel="bank", mode="mspc", alpha=1.0, beta=0.5, gamma=3.0), dict(clusters=np.int64(2))],
+    ids=["spc", "mspc", "numpy-clusters"],
 )
 def test_report_carries_the_run_trace(tmp_path, monkeypatch, settings):
     cfg = run_cfg(tmp_path, **settings)
@@ -718,8 +725,9 @@ def test_report_carries_the_run_trace(tmp_path, monkeypatch, settings):
     monkeypatch.setattr(workbench, solver, lambda *a: runs.append(real(*a)) or runs[-1])
     rep = sp.run_experiment(cfg)
     result = runs[0] if cfg.mode == "spc" else runs[0][0]
-    parsed = RunReport.from_text((tmp_path / "run" / "report.txt").read_text())
-    assert parsed == rep
+    text = (tmp_path / "run" / "report.txt").read_text()
+    parsed = RunReport.from_text(text)
+    assert parsed == rep and '"clusters": 2,' in text  # a numpy integer setting is written as a JSON int
     assert parsed.trace == result.trace and parsed.trace.iterations > 1
 
 
