@@ -77,9 +77,11 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in ("gaussian", "polynomial", "linear"):
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if self.family == "gaussian" and not self.t > 0:
-            raise ValueError(f"gaussian scale t must be positive, got {self.t}")
+        if self.family == "gaussian" and not 0 < self.t < np.inf:
+            raise ValueError(f"gaussian scale t must be positive and finite, got {self.t}")
         if self.family == "polynomial":
+            if not np.isfinite(self.a):
+                raise ValueError(f"polynomial offset a must be finite, got {self.a}")
             if not (float(self.b).is_integer() and self.b >= 1):
                 raise ValueError(f"polynomial exponent b must be an integer >= 1, got {self.b}")
             object.__setattr__(self, "b", int(self.b))
@@ -153,9 +155,11 @@ def _gaussian_values(D: np.ndarray, d_max_sq: float, t: float, out: np.ndarray) 
 
 
 def _polynomial_values(gram: np.ndarray, a: float, b: int, out: np.ndarray) -> np.ndarray:
-    """(a + gram)^b written to out, checked finite."""
-    np.add(gram, a, out=out)
-    np.power(out, b, out=out)
+    """(a + gram)^b written to out, checked finite: an overflow is reported by
+    check_finite, not warned about."""
+    with np.errstate(over="ignore"):
+        np.add(gram, a, out=out)
+        np.power(out, b, out=out)
     check_finite(out, "polynomial kernel")
     return out
 

@@ -21,10 +21,10 @@ Each outer iteration alternates:
    closed-form minimizer of the ridge-regularized quadratic,
    A^{-1} (alpha*K - (beta/2)*P) with A = K + 2*gamma*I and P the squared
    embedding distances. P is s 1' + 1 s' - 2 F F' with s = rowsum(F * F),
-   so the step is alpha*A^{-1}K plus a rank-(c+2) update that needs only an
-   n x (c+2) solve per iteration. A^{-1}K = I - 2*gamma*A^{-1} is formed
-   once per factorization of A, from the inverse that the Cholesky factor
-   gives (LAPACK dpotri);
+   so the step is alpha*A^{-1}K = alpha*I - 2*gamma*alpha*A^{-1} plus a
+   rank-(c+2) update that needs only one n x (c+2) product with A^{-1} per
+   iteration. A^{-1} is formed once per kernel, from its Cholesky factor
+   (LAPACK dpotri), and the factor is dropped at once;
 3. projection: Z <- max(Z, 0).
 
 The objective diagnostics come from exact identities rather than from
@@ -46,17 +46,17 @@ multiple-kernel solver in :mod:`spclust.mkl` supplies a kernel step that
 turns the costs of each projected graph into new weights and a newly
 combined kernel.
 
-Memory: the n x n arrays that live through an iteration are K, the Cholesky
-factor of A, A^{-1}K and Z. Besides them the loop holds one transient of its
-own (the Laplacian, the unprojected graph or the ZZ' triangle) and at most
-one more array: the eigensolver's copy of the Laplacian (or the F-step's
-shifted copy that the Cholesky check factorizes in place), or the projected
-graph that becomes the next Z. So the traced peak is about 5 n^2 floats
-beyond the kernel (6 beyond an mSPC bank, whose combined kernel is one
-more). Scaled sums into an n x n array run in 64-row blocks
-(:func:`_add_scaled`), the old Z takes the step Z_new - Z, and each buffer
-is released as soon as it is dead: the factor and A^{-1}K before the kernel
-step and before the labels are read.
+Memory: the n x n arrays that live through an iteration are K, A^{-1} and
+Z. Besides them the loop holds one transient of its own (the Laplacian, the
+unprojected graph or the ZZ' triangle) and at most one more array: the
+eigensolver's copy of the Laplacian (or the F-step's shifted copy that the
+Cholesky check factorizes in place), or the projected graph that becomes
+the next Z. So the traced peak is about 4 n^2 floats beyond the kernel (5
+beyond an mSPC bank, whose combined kernel is one more). Scaled sums into
+an n x n array run in 64-row blocks (:func:`_add_scaled`), the old Z takes
+the step Z_new - Z, and each buffer is released as soon as it is dead: the
+Cholesky factor once dpotri has read it, and A^{-1} before the kernel step
+and before the labels are read.
 """
 
 from __future__ import annotations
@@ -73,14 +73,12 @@ from scipy.linalg.blas import ddot
 
 from .kernels import KernelMatrix, as_bank, as_kernel
 from .numerics import (
-    SpdFactorization,
     _is_positive_definite,
     _symmetric_part,
     gram_upper,
     product,
     spd_factorize,
     spd_inverse,
-    spd_solve,
     symmetric_eigen,
 )
 
@@ -314,32 +312,31 @@ def _components(adjacency: np.ndarray) -> tuple[np.ndarray, int]:
     return labels, count
 
 
-def update_graph(
-    factor: SpdFactorization, AK: np.ndarray, F: np.ndarray, alpha: float, beta: float
-) -> np.ndarray:
+def update_graph(inv: np.ndarray, F: np.ndarray, alpha: float, beta: float, gamma: float) -> np.ndarray:
     """The Z-step: the unprojected graph A^{-1} (alpha*K - (beta/2)*P).
 
-    factor is the Cholesky factor of A = K + 2*gamma*I, AK is A^{-1} K and
-    P holds the squared distances between the rows of the embedding F, so
-    column i is the closed-form minimizer of the ridge-regularized quadratic
-    for sample i. With s = rowsum(F * F), A^{-1} P = (A^{-1}s) 1' +
-    (A^{-1}1) s' - 2 (A^{-1}F) F' is a rank-(c+2) product, and only an
-    n x (c+2) block is solved. Returns one new n x n buffer; the caller
-    applies nonnegativity.
+    inv is the inverse of A = K + 2*gamma*I and P holds the squared
+    distances between the rows of the embedding F, so column i is the
+    closed-form minimizer of the ridge-regularized quadratic for sample i.
+    alpha*A^{-1}K is alpha*I - 2*gamma*alpha*A^{-1}. With s = rowsum(F * F),
+    A^{-1} P = (A^{-1}s) 1' + (A^{-1}1) s' - 2 (A^{-1}F) F' is a rank-(c+2)
+    product, and only an n x (c+2) block of A^{-1} times [s, 1, F] is formed.
+    Returns one new n x n buffer; the caller applies nonnegativity.
     """
-    n = factor.order
-    AK = np.asarray(AK, dtype=float)
+    inv = np.asarray(inv, dtype=float)
     F = np.asarray(F, dtype=float)
-    if AK.shape != (n, n) or F.ndim != 2 or F.shape[0] != n:
+    n = len(inv)
+    if inv.shape != (n, n) or F.ndim != 2 or F.shape[0] != n:
         raise ValueError(
-            f"expected AK of shape {(n, n)} and an embedding with {n} rows, got {AK.shape} and {F.shape}"
+            f"expected an inverse of shape {(n, n)} and an embedding with {n} rows, got {inv.shape} and {F.shape}"
         )
     s = np.sum(F * F, axis=1)
     ones = np.ones_like(s)
-    solved = spd_solve(factor, np.column_stack([s, ones, F]))
+    solved = product(inv, np.column_stack([s, ones, F]))
     weights = np.concatenate([[-0.5 * beta, -0.5 * beta], np.full(F.shape[1], beta)])
     Z = product(solved * weights, np.column_stack([ones, s, F]), trans_b=True)
-    _add_scaled(Z, AK, alpha)
+    _add_scaled(Z, inv, -2.0 * gamma * alpha)
+    Z.flat[:: n + 1] += alpha
     return Z
 
 
@@ -365,18 +362,15 @@ def objective(K, Z: np.ndarray, F: np.ndarray, cfg: SpcConfig) -> float:
     return float(fit - cfg.alpha * preserve + cfg.beta * spectral + cfg.gamma * ridge)
 
 
-def extract_labels(Z: np.ndarray, threshold: Optional[float] = None) -> tuple[np.ndarray, int]:
-    """Connected-component labels of the thresholded symmetrized graph.
+def extract_labels(Z: np.ndarray) -> tuple[np.ndarray, int]:
+    """Connected-component labels of the symmetrized graph.
 
-    Edges exist where (Z + Z.T) / 2 exceeds the threshold (default:
-    1e-8 * max entry of Z, discarding numerically-zero clipped weights).
-    Components are numbered by first-seen sample index.
+    Edges exist where (Z + Z.T) / 2 exceeds ZERO_EIG_TOL * max entry of Z
+    (0 when no entry is positive), discarding numerically-zero clipped
+    weights. Components are numbered by first-seen sample index.
     """
     Z = np.asarray(Z, dtype=float)
-    if threshold is None:
-        threshold = ZERO_EIG_TOL * Z.max() if Z.size and Z.max() > 0 else 0.0
-    if not threshold >= 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
+    threshold = ZERO_EIG_TOL * Z.max() if Z.size and Z.max() > 0 else 0.0
     return _components(_symmetric_part(Z) > threshold)
 
 
@@ -418,12 +412,13 @@ def alternate(
     kernel_step(h) returns the weights and the (exactly symmetric) combined
     kernel values of the following iteration, which is factorized when that
     iteration starts, so never for the kernel returned after the last one.
-    K enters through as_kernel, the bank must have passed as_bank. No n x n
-    right-hand side is ever solved: A^{-1}K comes from spd_inverse.
+    K enters through as_kernel, the bank must have passed as_bank. A^{-1}
+    comes from spd_inverse, and the Cholesky factor is dropped as soon as
+    dpotri has read it; the loop solves no right-hand side.
 
-    The n x n arrays alive through an iteration are K, the factor, A^{-1}K
-    and Z, plus at any time one transient and at most one array made from it
-    (see the module docstring). The blocked and in-place updates give the
+    The n x n arrays alive through an iteration are K, A^{-1} and Z, plus
+    at any time one transient and at most one array made from it (see the
+    module docstring). The blocked and in-place updates give the
     bits of the plain whole-matrix expressions.
     """
     # only K's values stay bound, so mSPC frees its first combined kernel
@@ -435,7 +430,7 @@ def alternate(
         bank, weights = [K], np.ones(1)
     K = K.values
 
-    factor = None
+    inv = None
     Z = init_graph(n, cfg.seed)
     z_sq = _inner(Z, Z)
     h = kernel_costs(bank, Z, cfg.alpha)
@@ -446,11 +441,8 @@ def alternate(
 
     for _ in range(cfg.max_iters):
         tic = time.perf_counter()
-        if factor is None:
-            factor = spd_factorize(_ridged(K, 2.0 * cfg.gamma))
-            AK = spd_inverse(factor)
-            AK *= -2.0 * cfg.gamma
-            AK.flat[:: n + 1] += 1.0
+        if inv is None:
+            inv = spd_inverse(spd_factorize(_ridged(K, 2.0 * cfg.gamma)))
         F, zero_eigs = update_embedding(build_laplacian(Z), cfg.clusters)
 
         if cfg.adapt_beta and adjustments < MAX_BETA_ADJUSTMENTS:
@@ -463,7 +455,7 @@ def alternate(
 
         s = np.sum(F * F, axis=1)
         obj_f = 0.5 * _inner(weights, h) + cfg.gamma * z_sq + beta * _spectral(Z, F, s)
-        Z_unproj = update_graph(factor, AK, F, cfg.alpha, beta)
+        Z_unproj = update_graph(inv, F, cfg.alpha, beta, cfg.gamma)
         # K Z_unproj = alpha*K - (beta/2)*P - 2*gamma*Z_unproj turns the fit
         # and ridge terms into the preservation and spectral ones
         spectral = _spectral(Z_unproj, F, s)
@@ -484,7 +476,7 @@ def alternate(
         Z, z_sq = Z_new, new_sq
 
         if kernel_step is not None:
-            factor = AK = None
+            inv = None
             weights, K = kernel_step(h)
 
         trace.objective.append(float(obj))
@@ -499,7 +491,7 @@ def alternate(
             tol_reached = True
             break
 
-    factor = AK = None
+    inv = None
     labels, component_count = extract_labels(Z)
     return ClusteringResult(
         labels=labels,

@@ -142,8 +142,8 @@ def test_graph_step_matches_gradient_oracle():
         d = ((F - F[i]) ** 2).sum(axis=1)
         d[i] = 0.0
 
-        f = sp.spd_factorize(K + 2 * gamma * np.eye(n))
-        z = sp.update_graph(f, sp.spd_solve(f, K), F, alpha, beta)[:, i]
+        inv = sp.numerics.spd_inverse(sp.spd_factorize(K + 2 * gamma * np.eye(n)))
+        z = sp.update_graph(inv, F, alpha, beta, gamma)[:, i]
 
         A = K + 2 * gamma * np.eye(n)
         b = alpha * K[i] - 0.5 * beta * d

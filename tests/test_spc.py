@@ -224,16 +224,15 @@ def test_graph_column_solves_the_linear_system():
     n, c, alpha, beta, gamma = 12, 3, 3.0, 2.0, 0.7
     K = random_psd_kernel(rng, n)
     A = K + 2 * gamma * np.eye(n)
-    f = sp.spd_factorize(A)
-    AK = np.linalg.solve(A, K)
+    inv = sp.numerics.spd_inverse(sp.spd_factorize(A))
     F = rng.standard_normal((n, c))
     D = ((F[:, None, :] - F[None, :, :]) ** 2).sum(axis=2)
-    Z = sp.update_graph(f, AK, F, alpha, beta)
+    Z = sp.update_graph(inv, F, alpha, beta, gamma)
     assert np.allclose(A @ Z[:, 0], alpha * K[0] - 0.5 * beta * D[:, 0], rtol=0, atol=1e-10)
     assert np.allclose(A @ Z, alpha * K - 0.5 * beta * D, rtol=0, atol=1e-10)
-    for bad_AK, bad_F in ((AK[:, :5], F), (AK, F[:5]), (AK, F[:, 0])):
+    for bad_inv, bad_F in ((inv[:, :5], F), (inv, F[:5]), (inv, F[:, 0])):
         with pytest.raises(ValueError, match="rows"):
-            sp.update_graph(f, bad_AK, bad_F, alpha, beta)
+            sp.update_graph(bad_inv, bad_F, alpha, beta, gamma)
 
 
 def test_graph_column_without_distance_pull():
@@ -242,8 +241,8 @@ def test_graph_column_without_distance_pull():
     n = 8
     K = random_psd_kernel(rng, n)
     A = K + 2 * np.eye(n)
-    f = sp.spd_factorize(A)
-    Z = sp.update_graph(f, np.linalg.solve(A, K), np.zeros((n, 2)), 2.0, 1.0)
+    inv = sp.numerics.spd_inverse(sp.spd_factorize(A))
+    Z = sp.update_graph(inv, np.zeros((n, 2)), 2.0, 1.0, 1.0)
     expect = np.linalg.solve(A, 2.0 * K[2])
     assert np.allclose(Z[:, 2], expect, atol=1e-10)
     assert np.allclose(Z, np.linalg.solve(A, 2.0 * K), atol=1e-10)
@@ -251,23 +250,23 @@ def test_graph_column_without_distance_pull():
 
 @pytest.mark.parametrize("n", [130, 40])
 def test_blocked_updates_equal_the_plain_expressions_bit_for_bit(n):
-    # the graph step adds alpha*A^{-1}K and kernel_costs subtracts 2*alpha*Z
-    # in 64-row blocks (two full blocks and a partial one at n=130, one
-    # partial block at n=40); per entry that is the plain expression's
+    # the graph step adds -2*gamma*alpha*A^{-1} and kernel_costs subtracts
+    # 2*alpha*Z in 64-row blocks (two full blocks and a partial one at n=130,
+    # one partial block at n=40); per entry that is the plain expression's
     # multiply-then-add, so the bits must be the same
     rng = np.random.default_rng(n)
     alpha, beta, gamma, c = 3.7, 0.9, 1.3, 3
-    K = random_psd_kernel(rng, n)
-    factor = sp.spd_factorize(K + 2 * gamma * np.eye(n))
-    AK = rng.standard_normal((n, n))
+    inv = rng.standard_normal((n, n))
     F = rng.standard_normal((n, c))
     s = np.sum(F * F, axis=1)
     ones = np.ones(n)
-    solved = sp.spd_solve(factor, np.column_stack([s, ones, F]))
+    solved = product(inv, np.column_stack([s, ones, F]))
     weights = np.concatenate([[-0.5 * beta, -0.5 * beta], np.full(c, beta)])
     P = product(solved * weights, np.column_stack([ones, s, F]), trans_b=True)
-    got = sp.update_graph(factor, AK, F, alpha, beta)
-    assert np.array_equal(got.view(np.uint64), (alpha * AK + P).view(np.uint64))
+    expect = P + (-2.0 * gamma * alpha) * inv
+    expect.flat[:: n + 1] += alpha
+    got = sp.update_graph(inv, F, alpha, beta, gamma)
+    assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
 
     Z = rng.standard_normal((n, n))
     bank = [sp.KernelMatrix(random_psd_kernel(rng, n)) for _ in range(3)]
@@ -330,12 +329,6 @@ def test_extract_labels_blocks_and_threshold():
     Z[0, 3] = 1e-12
     labels, count = sp.extract_labels(Z)
     assert count == 2
-    # with an explicit zero threshold it does
-    labels, count = sp.extract_labels(Z, threshold=0.0)
-    assert count == 1
-    for bad in (-1.0, float("nan")):
-        with pytest.raises(ValueError, match="threshold"):
-            sp.extract_labels(Z, threshold=bad)
 
 
 def test_extract_labels_first_seen_numbering():
@@ -505,8 +498,8 @@ def test_loop_takes_one_graph_step_per_iteration(monkeypatch):
     # what it returns is the array the loop projects
     graphs = []
 
-    def recording(factor, AK, F, alpha, beta):
-        graphs.append(sp.update_graph(factor, AK, F, alpha, beta))
+    def recording(inv, F, alpha, beta, gamma):
+        graphs.append(sp.update_graph(inv, F, alpha, beta, gamma))
         return graphs[-1]
 
     monkeypatch.setattr(spc_module, "update_graph", recording)
@@ -569,18 +562,19 @@ def test_loop_arithmetic_matches_reference_functions(monkeypatch):
 @pytest.mark.parametrize("solver", ["spc", "mspc"])
 def test_loop_memory_budget(solver):
     # beyond the kernel (spc) or the bank (mspc, which adds its combined
-    # kernel), the loop keeps the Cholesky factor, A^{-1}K and Z alive across
-    # iterations, plus two n x n transients at a time: the Laplacian and the
-    # eigensolver's copy of it, or the projected graph and the ZZ' triangle.
-    # That reads 5.26 and 6.25 n^2; a loop that keeps stale bindings and
-    # builds its sums in whole-matrix temporaries read 8.03 and 9.03
+    # kernel), the loop keeps K, A^{-1} and Z alive across iterations, plus
+    # two n x n transients at a time: the Laplacian and the eigensolver's
+    # copy of it, or the projected graph and the ZZ' triangle. That reads
+    # 4.26 and 5.24 n^2; a loop that also kept the Cholesky factor and
+    # A^{-1}K read 5.26 and 6.24, and one that kept stale bindings and built
+    # its sums in whole-matrix temporaries read 8.03 and 9.03
     n = 300
     X = sp.generate_two_moons(n, noise_sigma=0.08, seed=0)
     if solver == "spc":
-        run, data, budget = sp.run_spc, sp.normalize_kernel(sp.gaussian_kernel(X, 0.01)), 5.5
+        run, data, budget = sp.run_spc, sp.normalize_kernel(sp.gaussian_kernel(X, 0.01)), 4.5
         cfg = sp.SpcConfig(alpha=4.0, beta=0.125, gamma=1.0, clusters=2, adapt_beta=True, max_iters=5)
     else:
-        run, data, budget = sp.run_mspc, sp.build_standard_bank(X), 6.5
+        run, data, budget = sp.run_mspc, sp.build_standard_bank(X), 5.5
         cfg = sp.SpcConfig(alpha=1.0, beta=0.5, gamma=3.0, clusters=2, adapt_beta=True, max_iters=5)
     tracemalloc.start()
     try:

@@ -446,6 +446,15 @@ def test_build_kernel_choice():
     for bad in ("gaussian", "poly:1", "poly:a,b", "rbf:1"):
         with pytest.raises(ValueError):
             build_kernel_choice(X, bad)
+    # non-finite parameters are refused by name, and an overflowing power is
+    # reported as a non-finite kernel rather than warned about
+    for bad, message in (
+        ("gaussian:inf", "gaussian scale t must be positive and finite, got inf"),
+        ("poly:inf,2", "polynomial offset a must be finite, got inf"),
+        ("poly:1e308,2", "polynomial kernel has non-finite entry"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build_kernel_choice(X, bad)
 
 
 def test_kernel_labels():
