@@ -25,9 +25,7 @@ from .mkl import MklState, combine_kernels, kernel_costs, run_mspc, update_weigh
 from .numerics import (
     EigenSystem,
     FactorizationError,
-    SpdFactorization,
     spd_factorize,
-    spd_solve,
     symmetric_eigen,
 )
 from .spc import (
@@ -80,9 +78,7 @@ __all__ = [
     "update_weights",
     "EigenSystem",
     "FactorizationError",
-    "SpdFactorization",
     "spd_factorize",
-    "spd_solve",
     "symmetric_eigen",
     "ClusteringResult",
     "SpcConfig",

@@ -18,6 +18,7 @@ normalize_kernel applied to the single-kernel function of the same spec.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -77,6 +78,11 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in ("gaussian", "polynomial", "linear"):
             raise ValueError(f"unknown kernel family {self.family!r}")
+        for name in ("t", "a", "b"):
+            value = getattr(self, name)
+            # a bool is an int to Python, but never a kernel parameter
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"kernel parameter {name} must be a real number, got {value!r}")
         if self.family == "gaussian" and not 0 < self.t < np.inf:
             raise ValueError(f"gaussian scale t must be positive and finite, got {self.t}")
         if self.family == "polynomial":

@@ -16,6 +16,8 @@ bank. Kernels that explain the learned graph cheaply earn larger weights.
 Weights start at the literal 1/r, which breaks the sqrt-sum constraint for
 r > 1; the first update restores feasibility and every later iterate keeps
 it. This mirrors the published algorithm's initialization, quirk included.
+:func:`combine_kernels` sums any finite nonnegative weights; sum(sqrt(w)) = 1
+is a property of :func:`update_weights`' output, not a condition of the sum.
 """
 
 from __future__ import annotations
@@ -25,10 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import KernelMatrix, as_bank
-from .spc import _BLOCK_ROWS, ClusteringResult, SpcConfig, alternate, kernel_costs
-
-# tolerance on |sum(sqrt(w)) - 1| when validating caller-supplied weights
-FEASIBILITY_TOL = 1e-8
+from .numerics import _BLOCK_ROWS
+from .spc import ClusteringResult, SpcConfig, alternate, kernel_costs
 
 
 @dataclass
@@ -40,14 +40,12 @@ class MklState:
     costs: np.ndarray
 
 
-def combine_kernels(
-    bank: list[KernelMatrix], w: np.ndarray, require_feasible: bool = True
-) -> KernelMatrix:
+def combine_kernels(bank: list[KernelMatrix], w: np.ndarray) -> KernelMatrix:
     """Entrywise weighted sum H = sum_i w_i K^i.
 
-    Weights must be nonnegative and, unless require_feasible is off, satisfy
-    sum(sqrt(w)) = 1. run_mspc disables the check once, for the
-    deliberately infeasible 1/r starting point; every later combine is checked.
+    There must be one weight per kernel, each finite and nonnegative; any
+    such weights combine, the 1/r start of run_mspc included. sum(sqrt(w))
+    = 1 is a property of update_weights' output and is not checked here.
     H is summed block by block: each block of 64 rows is accumulated over
     all kernels, in bank order, while it is in cache, through one
     block-sized scratch array. Per entry it is the same multiply-then-add
@@ -60,12 +58,6 @@ def combine_kernels(
         raise ValueError(f"got {w.shape[0] if w.ndim == 1 else w.shape} weights for {len(bank)} kernels")
     if np.any(w < 0) or not np.all(np.isfinite(w)):
         raise ValueError(f"weights must be finite and nonnegative, got {w}")
-    if require_feasible:
-        dev = abs(float(np.sqrt(w).sum()) - 1.0)
-        if dev > FEASIBILITY_TOL:
-            raise ValueError(
-                f"weights are infeasible: sum(sqrt(w)) deviates from 1 by {dev:.3e}"
-            )
     H = np.zeros((n, n))
     scratch = np.empty((min(_BLOCK_ROWS, n), n))
     for lo in range(0, n, _BLOCK_ROWS):
@@ -85,12 +77,13 @@ def update_weights(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     if h.ndim != 1 or h.size == 0:
         raise ValueError("cost vector must be non-empty and 1-D")
-    bad = np.flatnonzero(~(h > 0))
+    bad = np.flatnonzero(~((h > 0) & (h < np.inf)))
     if bad.size:
         i = int(bad[0])
         raise ValueError(
-            f"kernel cost h[{i}] = {h[i]:g} is not positive; the KKT weight formula "
-            "needs positive costs (alpha is likely too large for the current graph)"
+            f"kernel cost h[{i}] = {h[i]:g} is not positive and finite; the KKT weight formula "
+            "needs finite positive costs (a non-positive one means alpha is likely too large "
+            "for the current graph)"
         )
     inv = 1.0 / h
     roots = inv / inv.sum()
@@ -117,11 +110,7 @@ def run_mspc(bank: list[KernelMatrix], cfg: SpcConfig) -> tuple[ClusteringResult
     r = len(bank)
     # literal published initialization; infeasible for r > 1 until first update
     w = np.full(r, 1.0 / r)
-    state = MklState(
-        weights=w,
-        combined=combine_kernels(bank, w, require_feasible=False),
-        costs=np.full(r, np.nan),
-    )
+    state = MklState(weights=w, combined=combine_kernels(bank, w), costs=np.full(r, np.nan))
 
     def kernel_step(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         state.costs = h

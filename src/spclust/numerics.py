@@ -31,16 +31,19 @@ lives here too: metrics imports kernels, so it cannot supply it to Dataset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import cho_solve, eigh
+from scipy.linalg import eigh
 from scipy.linalg.blas import dgemm, dsyrk
 from scipy.linalg.lapack import dpotrf, dpotri
 
-# rows of the lower triangle mirrored at a time in spd_inverse
-_MIRROR_ROWS = 64
+# rows of an n x n update done at a time (spd_inverse's mirror, the graph
+# step, spc.kernel_costs and mkl.combine_kernels); at n = 1000 a block of the
+# target, its scratch and a block of the operand take 1.5 MB, small enough
+# for a 2 MB L2 (32 and 64 rows measured alike in combine_kernels, 16 and
+# 128 slower)
+_BLOCK_ROWS = 64
 
 
 class FactorizationError(ValueError):
@@ -67,14 +70,6 @@ class EigenSystem(NamedTuple):
 
     values: np.ndarray
     vectors: np.ndarray
-
-
-@dataclass(frozen=True)
-class SpdFactorization:
-    """Reusable Cholesky factor for solving A @ x = b many times."""
-
-    order: int
-    factor: np.ndarray  # lower-triangular LAPACK factor; upper part is garbage
 
 
 def check_finite(A: np.ndarray, name: str = "matrix") -> None:
@@ -153,12 +148,13 @@ def gram_upper(a: np.ndarray) -> np.ndarray:
     return dsyrk(1.0, a.T, trans=1, lower=1).T
 
 
-def spd_factorize(A: np.ndarray) -> SpdFactorization:
-    """Cholesky-factorize a symmetric positive definite matrix.
+def spd_factorize(A: np.ndarray) -> np.ndarray:
+    """The Cholesky factor of a symmetric positive definite matrix, by dpotrf.
 
-    Only the lower triangle of A is read, as in :func:`symmetric_eigen`.
-    Raises FactorizationError (carrying the pivot index) when A is not
-    positive definite.
+    Only the lower triangle of A is read, as in :func:`symmetric_eigen`, and
+    only the lower triangle of the result is the factor; the entries above
+    the diagonal are not part of it. Raises FactorizationError (carrying the
+    pivot index) when A is not positive definite.
     """
     A = _square(A)
     factor, info = dpotrf(A, lower=1, clean=0, overwrite_a=0)
@@ -166,34 +162,24 @@ def spd_factorize(A: np.ndarray) -> SpdFactorization:
         raise FactorizationError(pivot=int(info) - 1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpotrf")
-    return SpdFactorization(order=A.shape[0], factor=factor)
+    return factor
 
 
-def spd_solve(f: SpdFactorization, b: np.ndarray) -> np.ndarray:
-    """Solve A @ x = b for one right-hand side vector or a matrix of them."""
-    b = np.asarray(b, dtype=float)
-    if b.shape[0] != f.order:
-        raise ValueError(
-            f"right-hand side has leading dimension {b.shape[0]}, expected {f.order}"
-        )
-    check_finite(b, "right-hand side")
-    return cho_solve((f.factor, True), b)
-
-
-def spd_inverse(f: SpdFactorization) -> np.ndarray:
-    """The inverse of the factorized matrix, from its Cholesky factor by dpotri.
+def spd_inverse(factor: np.ndarray) -> np.ndarray:
+    """The inverse of a factorized matrix, from its Cholesky factor by dpotri.
 
     LAPACK forms the lower triangle only; it is mirrored into a full, exactly
     symmetric, row-major matrix.
     """
-    inv, info = dpotri(f.factor, lower=1)
+    inv, info = dpotri(factor, lower=1)
     if info != 0:
         raise ValueError(f"dpotri failed with info={info}")
     # the column-major lower triangle is the row-major upper one; mirror it
     # down in blocks of rows, so no n x n mask is made
     out = inv.T
-    for lo in range(0, f.order, _MIRROR_ROWS):
-        hi = min(lo + _MIRROR_ROWS, f.order)
+    n = out.shape[0]
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
         block = out[lo:hi, :hi]
         np.copyto(block, out[:hi, lo:hi].T, where=np.tri(hi - lo, hi, k=lo - 1, dtype=bool))
     return out

@@ -73,6 +73,7 @@ from scipy.linalg.blas import ddot
 
 from .kernels import KernelMatrix, as_bank, as_kernel
 from .numerics import (
+    _BLOCK_ROWS,
     _is_positive_definite,
     _symmetric_part,
     gram_upper,
@@ -87,12 +88,6 @@ ZERO_EIG_TOL = 1e-8
 
 # adaptive beta stops after this many doublings/halvings
 MAX_BETA_ADJUSTMENTS = 30
-
-# rows of an n x n update done at a time (kernel_costs, the graph step and
-# mkl.combine_kernels); at n = 1000 a block of the target, its scratch and a
-# block of the operand take 1.5 MB, small enough for a 2 MB L2 (32 and 64
-# rows measured alike in combine_kernels, 16 and 128 slower)
-_BLOCK_ROWS = 64
 
 
 def _type_name(hint) -> str:

@@ -110,6 +110,24 @@ def test_polynomial_refuses_a_fractional_exponent():
     assert np.array_equal(K.values, polynomial_kernel(X, 1.0, 2).values)
 
 
+def test_kernel_spec_refuses_non_numbers_by_name():
+    # a bool is refused rather than read as 0 or 1, and a string fails here
+    # with the parameter's name instead of deep in a comparison or a ufunc
+    X = Dataset(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    for build, name in (
+        (lambda: gaussian_kernel(X, True), "t"),
+        (lambda: polynomial_kernel(X, 0.0, True), "b"),
+        (lambda: polynomial_kernel(X, np.bool_(False), 2), "a"),
+        (lambda: KernelSpec("gaussian", t="1"), "t"),
+        (lambda: KernelSpec("polynomial", a="x", b=2), "a"),
+        (lambda: KernelSpec("polynomial", a=0.0, b=None), "b"),
+    ):
+        with pytest.raises(ValueError, match=f"kernel parameter {name} must be a real number"):
+            build()
+    assert KernelSpec("polynomial", a=1, b=2.0).b == 2
+    assert KernelSpec("gaussian", t=np.float64(0.5)) == KernelSpec("gaussian", t=0.5)
+
+
 def test_polynomial_overflow_is_an_error():
     X = Dataset(np.full((1, 2), 1e80))
     with pytest.raises(ValueError, match="non-finite"):

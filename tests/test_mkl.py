@@ -55,19 +55,19 @@ def test_combine_equals_the_plain_weighted_sum_bit_for_bit():
         H = np.zeros((n, n))
         for wi, K in zip(w, bank):
             H = H + wi * K.values
-        combined = combine_kernels(bank, w, require_feasible=False).values
+        combined = combine_kernels(bank, w).values
         assert combined.tobytes() == (0.5 * (H + H.T)).tobytes()
 
 
 def test_combine_validates_inputs():
     rng = np.random.default_rng(3)
     bank = random_bank(rng, 4, 2)
-    with pytest.raises(ValueError, match="feasib"):
-        combine_kernels(bank, [0.5, 0.5])  # sum of sqrt != 1
-    # the same weights pass when feasibility is waived
-    combine_kernels(bank, [0.5, 0.5], require_feasible=False)
-    with pytest.raises(ValueError, match="nonneg"):
-        combine_kernels(bank, [1.5, -0.5], require_feasible=False)
+    # any finite nonnegative weights combine, whatever their sum of roots
+    H = combine_kernels(bank, [0.5, 0.5])
+    assert np.allclose(H.values, 0.5 * (bank[0].values + bank[1].values), rtol=0, atol=1e-15)
+    for bad in ([1.5, -0.5], [np.inf, 0.0], [np.nan, 0.5]):
+        with pytest.raises(ValueError, match="finite and nonneg"):
+            combine_kernels(bank, bad)
     with pytest.raises(ValueError, match="weight"):
         combine_kernels(bank, [1.0])
     with pytest.raises(ValueError, match="empty"):
@@ -189,6 +189,10 @@ def test_weight_update_constraint_holds():
 def test_weight_update_rejects_nonpositive_costs():
     with pytest.raises(ValueError, match=r"h\[1\]"):
         update_weights(np.array([1.0, -2.0, 3.0]))
+    # 1/inf = 0 would make a zero weight, or nan weights when every cost is infinite
+    for h, i in (([np.inf, np.inf], 0), ([np.inf, 1.0], 0), ([1.0, np.nan], 1)):
+        with pytest.raises(ValueError, match=rf"kernel cost h\[{i}\] = (inf|nan) is not positive and finite"):
+            update_weights(np.array(h))
     with pytest.raises(ValueError, match="1-D"):
         update_weights(np.zeros((2, 2)))
     with pytest.raises(ValueError, match="empty"):
@@ -241,10 +245,9 @@ def test_factorizes_once_per_kernel(monkeypatch):
     # iteration, and the one combined after the last iteration is never used.
     # Both solvers form the ZZ' triangle once for the initial graph and once
     # per projected graph: the objective's fit term and the kernel weights
-    # share it. The graph step multiplies by the factor's inverse, so the
-    # loop solves no right-hand side at all.
-    calls, grams, rhs = [], [], []
-    gram_upper, spd_solve = sp.numerics.gram_upper, sp.spd_solve
+    # share it.
+    calls, grams = [], []
+    gram_upper = sp.numerics.gram_upper
 
     def counting_factorize(A):
         calls.append(A.shape)
@@ -254,34 +257,22 @@ def test_factorizes_once_per_kernel(monkeypatch):
         grams.append(a.shape)
         return gram_upper(a)
 
-    def recording_solve(f, b):
-        rhs.append(np.shape(b))
-        return spd_solve(f, b)
-
     monkeypatch.setattr(spc_module, "spd_factorize", counting_factorize)
-    # every module that binds these helpers, wherever the calls live
+    # every module that binds gram_upper, wherever the calls live
     for name, module in list(sys.modules.items()):
-        if name.startswith("spclust."):
-            for attr, fn, wrapper in (
-                ("gram_upper", gram_upper, counting_gram),
-                ("spd_solve", spd_solve, recording_solve),
-            ):
-                if getattr(module, attr, None) is fn:
-                    monkeypatch.setattr(module, attr, wrapper)
+        if name.startswith("spclust.") and getattr(module, "gram_upper", None) is gram_upper:
+            monkeypatch.setattr(module, "gram_upper", counting_gram)
     X = blob_dataset()
     n = X.n_samples
     cfg = sp.SpcConfig(alpha=1.0, beta=0.5, gamma=3.0, clusters=2, adapt_beta=True, seed=0)
     result = sp.run_spc(sp.gaussian_kernel(X, 1.0), cfg)
     assert result.trace.iterations > 1 and len(calls) == 1
     assert grams == [(n, n)] * (result.trace.iterations + 1)
-    assert rhs == []
     calls.clear()
     grams.clear()
-    rhs.clear()
     result, _ = run_mspc(sp.build_standard_bank(X), cfg)
     assert result.trace.iterations > 1 and len(calls) == result.trace.iterations
     assert grams == [(n, n)] * (result.trace.iterations + 1)
-    assert rhs == []
 
 
 def test_solver_calls_match_the_benchmark_attribution(monkeypatch):

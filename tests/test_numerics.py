@@ -2,6 +2,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from spclust.numerics import (
     product,
     spd_factorize,
     spd_inverse,
-    spd_solve,
     symmetric_eigen,
 )
 
@@ -112,12 +112,14 @@ def test_spd_inverse_matches_dense_inverse():
         B = rng.standard_normal((n, n))
         A = B @ B.T + n * np.eye(n)
         f = spd_factorize(A)
-        factor = f.factor.copy()
+        assert f.shape == (n, n)
+        assert np.allclose(np.tril(f) @ np.tril(f).T, A, rtol=0, atol=1e-12)
+        factor = f.copy()
         inv = spd_inverse(f)
         assert inv.flags.c_contiguous and np.array_equal(inv, inv.T)
         assert np.allclose(inv, np.linalg.inv(A), rtol=0, atol=1e-12)
-        # the factor stays usable for solves
-        assert np.array_equal(f.factor, factor)
+        # dpotri works on a copy; the factor is untouched
+        assert np.array_equal(f, factor)
 
 
 def test_spd_inverse_mirrors_the_triangle_bit_for_bit():
@@ -127,7 +129,7 @@ def test_spd_inverse_mirrors_the_triangle_bit_for_bit():
     for n in (1, 63, 64, 65, 150):
         B = rng.standard_normal((n, n))
         f = spd_factorize(B @ B.T + n * np.eye(n))
-        want = dpotri(f.factor, lower=1)[0].T
+        want = dpotri(f, lower=1)[0].T
         np.copyto(want, want.T, where=np.tri(n, k=-1, dtype=bool))
         assert spd_inverse(f).tobytes() == want.tobytes()
 
@@ -145,7 +147,7 @@ def test_only_the_lower_triangle_is_read():
         want, got = symmetric_eigen(A, count), symmetric_eigen(garbled, count)
         assert np.array_equal(want.values, got.values)
         assert np.array_equal(want.vectors, got.vectors)
-    assert np.array_equal(np.tril(spd_factorize(A).factor), np.tril(spd_factorize(garbled).factor))
+    assert np.array_equal(np.tril(spd_factorize(A)), np.tril(spd_factorize(garbled)))
     with pytest.raises(ValueError, match="square"):
         symmetric_eigen(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="non-finite"):
@@ -162,31 +164,11 @@ def test_check_finite_names_entry():
         check_finite(A)
 
 
-def test_spd_solve_matches_dense_solve():
-    rng = np.random.default_rng(1)
-    for n in (3, 8, 25):
-        B = rng.standard_normal((n, n))
-        A = B @ B.T + n * np.eye(n)
-        f = spd_factorize(A)
-        assert f.order == n
-        b = rng.standard_normal(n)
-        assert np.allclose(spd_solve(f, b), np.linalg.solve(A, b), atol=1e-10)
-        # matrix right-hand side in one call
-        Bm = rng.standard_normal((n, 4))
-        assert np.allclose(spd_solve(f, Bm), np.linalg.solve(A, Bm), atol=1e-10)
-
-
 def test_factorization_error_carries_pivot():
     A = np.diag([1.0, -1.0, 1.0])
     with pytest.raises(FactorizationError) as err:
         spd_factorize(A)
     assert err.value.pivot == 1
-
-
-def test_spd_solve_checks_dimension():
-    f = spd_factorize(np.eye(4))
-    with pytest.raises(ValueError, match="leading dimension"):
-        spd_solve(f, np.ones(3))
 
 
 NUMPY_BLAS = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
@@ -284,3 +266,20 @@ def test_annotations_are_read_resolved():
             if isinstance(node, ast.Attribute) and node.attr == "type"
         ]
         assert not reads, (module.__name__, reads)
+
+
+def test_every_export_is_used():
+    # a public name earns its place by being read: each name in spclust.__all__
+    # is loaded somewhere in the package's own modules, the demos or the
+    # benchmark's workloads, as a name or an attribute; an import does not count
+    root = Path(__file__).resolve().parents[1]
+    files = [p for p in (root / "src" / "spclust").glob("*.py") if p.name != "__init__.py"]
+    files += [*(root / "demos").glob("*.py"), root / "perfbench" / "workloads.py"]
+    used = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+    assert sorted(set(spclust.__all__) - used) == []
