@@ -12,10 +12,14 @@ All BLAS and LAPACK work of the solvers goes through scipy: products through
 :func:`product` (``dgemm``), the Gram triangle through :func:`gram_upper`
 (``dsyrk``, half the flops of ``dgemm``), the inverse of a factorized matrix
 through :func:`spd_inverse` (``dpotri``), factorizations and eigensolves
-through ``scipy.linalg``, the F-step's check that a graph's components give
-the whole bottom eigenspace through :func:`_is_positive_definite` (a rank
-update and a Cholesky factorization in the caller's buffer), and inner
-products through ``ddot``. numpy's
+through ``scipy.linalg``, and inner products through ``ddot``. The F-step
+has two private helpers: :func:`_shifted_factor` (a rank update and a
+Cholesky factorization in the caller's buffer, whose success certifies that
+a graph's components give its whole null space) and
+:func:`_shift_invert_lanczos`, which finds the next eigenvectors with
+``dpotrs`` solves on that factor, ``dgemv`` and ``ddot`` for the
+reorthogonalization, :func:`product` for the Ritz vectors and
+``eigh_tridiagonal`` for the small tridiagonal problem. numpy's
 ``@``, ``np.dot`` and ``np.linalg`` are kept out of the solver modules, the
 loop and :func:`spclust.spc.objective` alike. numpy and scipy each load
 their own OpenBLAS, and after a numpy BLAS call numpy's worker thread keeps
@@ -31,12 +35,13 @@ lives here too: metrics imports kernels, so it cannot supply it to Dataset.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.linalg.blas import dgemm, dsyrk
-from scipy.linalg.lapack import dpotrf, dpotri
+from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg.blas import ddot, dgemm, dgemv, dsyrk
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 # rows of an n x n update done at a time (spd_inverse's mirror, the graph
 # step, spc.kernel_costs and mkl.combine_kernels); at n = 1000 a block of the
@@ -44,6 +49,21 @@ from scipy.linalg.lapack import dpotrf, dpotri
 # for a 2 MB L2 (32 and 64 rows measured alike in combine_kernels, 16 and
 # 128 slower)
 _BLOCK_ROWS = 64
+
+# the F-step's shift-invert Lanczos (_shift_invert_lanczos): at most this
+# many solves, and a Ritz pair passes at a residual of at most
+# _LANCZOS_RESIDUAL * ||A||. Measured on the 235 connected Laplacians of SPC
+# and mSPC runs at the README settings, n = 100-1000 (two moons rotated by
+# data seed 1): at 1e-13 the graphs took a median of 12 solves (1e-12: 11)
+# and FF' came within 5e-14 of evr's on every n = 1000 graph (1e-12: 8e-13),
+# which keeps the n = 1000 runs' objective series within 1.2e-10 of evr's
+# (1e-12: 6.4e-10). Past iteration 0 every graph took at most 39 solves,
+# except in two mSPC runs (n = 600 and 800) that swing between 1 and 2
+# components for 300 iterations: there lambda_2/lambda_3 >= 0.994 and 80
+# solves did not converge. Iteration 0's near-complete random graph took
+# 41-70 solves or more. A solve costs about 0.7 ms at n = 1000 on 2 cores.
+_LANCZOS_STEPS = 50
+_LANCZOS_RESIDUAL = 1e-13
 
 
 class FactorizationError(ValueError):
@@ -185,17 +205,101 @@ def spd_inverse(factor: np.ndarray) -> np.ndarray:
     return out
 
 
-def _is_positive_definite(A: np.ndarray, F: np.ndarray, scale: float) -> bool:
-    """Whether the symmetric A + scale * F F' is positive definite; A is overwritten.
+def _shifted_factor(A: np.ndarray, F: np.ndarray, scale: float) -> Optional[np.ndarray]:
+    """The lower Cholesky factor of the symmetric A + scale * F F', or None; A is overwritten.
 
-    The rank update (dsyrk) and the Cholesky factorization (dpotrf) both run
-    in A's own buffer and read only its lower triangle. A C-contiguous A is
-    handed to them as its transpose, the same symmetric matrix in Fortran
-    order, so neither routine copies it.
+    The rank update (dsyrk) and the factorization (dpotrf) both run in A's
+    own buffer and read only its lower triangle. A C-contiguous A is handed
+    to them as its transpose, the same symmetric matrix in Fortran order, so
+    neither routine copies it. The factor returned is that Fortran-order
+    view of A's buffer, as :func:`_shift_invert_lanczos` reads it; None
+    means the matrix is not positive definite.
     """
     a = A.T if A.flags.c_contiguous else A
     a = dsyrk(scale, F, beta=1.0, c=a, trans=0, lower=1, overwrite_c=1)
     _, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpotrf")
-    return info == 0
+    return a if info == 0 else None
+
+
+def _shift_invert_lanczos(
+    A: np.ndarray, factor: np.ndarray, E: np.ndarray, count: int, norm: float
+) -> Optional[EigenSystem]:
+    """The count smallest eigenpairs of the symmetric A orthogonal to E, or None.
+
+    E (n x k, 1 <= k <= n - count) has orthonormal columns that span an
+    invariant subspace of A, and factor is the lower Cholesky factor of a matrix M
+    that acts as A - shift*I on E's orthogonal complement, for a shift
+    below every eigenvalue there: the F-step's A - ZERO_EIG_TOL*I +
+    sigma*EE', which :func:`_shifted_factor` certifies. Lanczos on M^{-1}
+    (the spectral transformation Lanczos method of Ericsson and Ruhe, 1980)
+    meets the wanted eigenvalues first, as the largest of 1/(lambda -
+    shift). Each step is one dpotrs solve. Every new vector is projected
+    off E and fully reorthogonalized by two classical Gram-Schmidt passes
+    (dgemv) against E and the basis so far, which hold (k +
+    _LANCZOS_STEPS) * n floats. The start vector is fixed, so two calls
+    give the same bits.
+
+    Once the Lanczos estimate |beta_j s_j| of every wanted Ritz pair is
+    below _LANCZOS_RESIDUAL times its Ritz value theta, the Ritz vectors y
+    are formed and accepted only if every true residual ||A y - (y'Ay) y||
+    is at most _LANCZOS_RESIDUAL * norm, with norm an upper bound on ||A||
+    (2 * the largest degree of a Laplacian, by Gershgorin). Returns the
+    Rayleigh quotients y'Ay, smallest eigenvalue first, with the unit
+    vectors y as columns, or None when _LANCZOS_STEPS solves do not get
+    there. One start vector cannot see a second copy of an exactly repeated
+    eigenvalue, so such a wanted eigenvalue can be passed over for the next
+    one; the residual test cannot tell, and the eigensolver stays the
+    F-step's exact fallback.
+    """
+    n, k = E.shape
+    basis = np.empty((k + _LANCZOS_STEPS, n))
+    basis[:k] = E.T
+    w = np.random.default_rng(0).standard_normal(n)
+    alphas: list[float] = []
+    betas: list[float] = []
+    for j in range(_LANCZOS_STEPS + 1):
+        # the rows are column-major as their transpose; on the newest Lanczos
+        # vector the coefficients of both passes add up to alpha
+        rows = basis[: k + j].T
+        first = dgemv(1.0, rows, w, trans=1)
+        w = dgemv(-1.0, rows, first, beta=1.0, y=w, overwrite_y=1)
+        second = dgemv(1.0, rows, w, trans=1)
+        w = dgemv(-1.0, rows, second, beta=1.0, y=w, overwrite_y=1)
+        beta = math.sqrt(ddot(w, w))
+        if j:
+            alphas.append(float(first[-1] + second[-1]))
+            if j >= count:
+                pairs = _ritz_pairs(A, basis[k : k + j], alphas, betas, beta, count, norm)
+                if pairs is not None:
+                    return pairs
+            betas.append(beta)
+        if j == _LANCZOS_STEPS or not beta > 0:
+            return None
+        np.divide(w, beta, out=basis[k + j])
+        w = dpotrs(factor, basis[k + j], lower=1)[0]
+
+
+def _ritz_pairs(
+    A: np.ndarray, lanczos: np.ndarray, alphas: list, betas: list, beta: float, count: int, norm: float
+) -> Optional[EigenSystem]:
+    """The Ritz pairs of the count largest eigenvalues of the Lanczos tridiagonal, if they pass.
+
+    lanczos holds the Lanczos vectors as rows, alphas and betas the
+    tridiagonal, and beta the norm of the next vector before it was
+    normalized; the tests are :func:`_shift_invert_lanczos`'s.
+    """
+    theta, S = eigh_tridiagonal(np.array(alphas), np.array(betas))
+    theta, S = theta[: -count - 1 : -1], S[:, : -count - 1 : -1]
+    if not np.all(theta > 0) or np.any(np.abs(beta * S[-1]) > _LANCZOS_RESIDUAL * theta):
+        return None
+    Y = product(S.T, lanczos)
+    AY = product(A, Y, trans_b=True)
+    values = np.empty(count)
+    for i in range(count):
+        values[i] = ddot(Y[i], AY[:, i])
+        residual = AY[:, i] - values[i] * Y[i]
+        if math.sqrt(ddot(residual, residual)) > _LANCZOS_RESIDUAL * norm:
+            return None
+    return EigenSystem(values, Y.T)

@@ -11,12 +11,14 @@ Each outer iteration alternates:
 1. embedding step (:func:`update_embedding`): F <- an orthonormal basis of
    the bottom c-dimensional eigenspace of the Laplacian of Z, with the
    number of near-zero eigenvalues that the beta anneal reads. When the
-   graph has exactly c connected components, F is read off the graph: the
-   normalized component indicators span the Laplacian's null space (the
-   multiplicity fact CAN relies on), and one Cholesky factorization
-   confirms that the (c+1)-th eigenvalue is not near zero. Otherwise one
-   eigensolve gives the c bottom eigenvectors and the c+1 smallest
-   eigenvalues;
+   graph has k <= c connected components, their normalized indicators span
+   the Laplacian's null space (the multiplicity fact CAN relies on), and one
+   Cholesky factorization of a shifted copy of the Laplacian certifies that
+   the (k+1)-th eigenvalue is not near zero. With k = c, F is the
+   indicators; with k < c and n >= LANCZOS_MIN_ORDER, shift-invert Lanczos
+   on that factor adds the c-k eigenvectors that follow. Otherwise, or
+   when either fails, one eigensolve gives the c bottom eigenvectors and
+   the c+1 smallest eigenvalues;
 2. graph step (:func:`update_graph`): every column of Z gets the
    closed-form minimizer of the ridge-regularized quadratic,
    A^{-1} (alpha*K - (beta/2)*P) with A = K + 2*gamma*I and P the squared
@@ -49,9 +51,10 @@ combined kernel.
 Memory: the n x n arrays that live through an iteration are K, A^{-1} and
 Z. Besides them the loop holds one transient of its own (the Laplacian, the
 unprojected graph or the ZZ' triangle) and at most one more array: the
-eigensolver's copy of the Laplacian (or the F-step's shifted copy that the
-Cholesky check factorizes in place), or the projected graph that becomes
-the next Z. So the traced peak is about 4 n^2 floats beyond the kernel (5
+eigensolver's copy of the Laplacian (or the F-step's shifted copy that is
+factorized in place, which Lanczos then solves with beside a basis of k
+plus the step cap vectors of n), or the projected graph that becomes the
+next Z. So the traced peak is about 4 n^2 floats beyond the kernel (5
 beyond an mSPC bank, whose combined kernel is one more). Scaled sums into
 an n x n array run in 64-row blocks (:func:`_add_scaled`), the old Z takes
 the step Z_new - Z, and each buffer is released as soon as it is dead: the
@@ -74,7 +77,8 @@ from scipy.linalg.blas import ddot
 from .kernels import KernelMatrix, as_bank, as_kernel
 from .numerics import (
     _BLOCK_ROWS,
-    _is_positive_definite,
+    _shift_invert_lanczos,
+    _shifted_factor,
     _symmetric_part,
     gram_upper,
     product,
@@ -85,6 +89,16 @@ from .numerics import (
 
 # eigenvalues below this count as zero when checking component structure
 ZERO_EIG_TOL = 1e-8
+
+# the F-step takes the eigenvectors that the components of a graph with
+# fewer than c of them leave missing from shift-invert Lanczos from this
+# order up, and from the eigensolver below it. Summed over such graphs of SPC
+# and mSPC runs at the README settings (two moons rotated by data seed 1, 2
+# cores, best of 9), F-step against evr in ms, SPC then mSPC: n = 200 23/21
+# and 9/6, n = 300 37/46 and 19/16, n = 400 60/90 and 26/28, n = 500 75/125
+# and 48/74, n = 1000 413/705 and 313/518. 400 is the least order measured
+# where both gain; the warm-up runs at n = 100 lost by 2-5x
+LANCZOS_MIN_ORDER = 400
 
 # adaptive beta stops after this many doublings/halvings
 MAX_BETA_ADJUSTMENTS = 30
@@ -202,10 +216,11 @@ class SpcTrace:
     the (unprojected) graph step, so descent of the exact minimizers can be
     audited after the run. All three come from exact identities (see the
     module docstring) and agree with :func:`objective` up to rounding.
-    ``near_zero_eigs`` counts the Laplacian eigenvalues below ZERO_EIG_TOL
-    among the c+1 smallest, so it is at most c+1: the count that
-    :func:`update_embedding` returns, c whenever the F-step was read off
-    exactly c components.
+    ``near_zero_eigs`` is the count of near-zero Laplacian eigenvalues among
+    the c+1 smallest that :func:`update_embedding` returns, so it is at most
+    c+1: the number k <= c of the graph's components when a Cholesky
+    factorization certified them, else the number of eigenvalues below
+    ZERO_EIG_TOL.
     ``wall_time`` holds the seconds each iteration took; for mSPC that
     includes combining the next iteration's kernel.
     Every series is in the run report, checked against these annotations,
@@ -253,34 +268,45 @@ def build_laplacian(Z: np.ndarray) -> np.ndarray:
 def update_embedding(L: np.ndarray, c: int) -> tuple[np.ndarray, int]:
     """The F-step: an orthonormal basis F of L's bottom c-dimensional eigenspace.
 
-    Returns (F, count), with count the number of eigenvalues below
-    ZERO_EIG_TOL among the c+1 smallest (among all n when c = n), so the
-    caller can tell whether the graph has fewer, exactly or more than c
-    components.
+    Returns (F, count), with count the number of near-zero eigenvalues among
+    the c+1 smallest (among all n when c = n), so the caller can tell
+    whether the graph has fewer, exactly or more than c components.
 
-    When the support of the graph (the off-diagonal nonzeros of L) has
-    exactly c connected components, their normalized indicators span L's
-    null space, and F is read off the graph: column b is 1_b / sqrt(n_b).
-    The count is then c if lambda_{c+1} >= ZERO_EIG_TOL, which one Cholesky
-    factorization of L + sigma*FF' - ZERO_EIG_TOL*I in a copy of L confirms
-    (sigma is the largest diagonal entry of L, at least 1, so the null
-    directions are shifted well clear). Otherwise, or when the check fails,
-    one symmetric_eigen call gives the c bottom eigenvectors and the c+1
-    smallest eigenvalues.
+    When the support of the graph (the off-diagonal nonzeros of L) has k <=
+    c connected components, their normalized indicators E (column b is
+    1_b / sqrt(n_b)) span L's null space. One Cholesky factorization of L -
+    ZERO_EIG_TOL*I + sigma*EE', in a copy of L (sigma is the largest
+    diagonal entry of L, at least 1, so the null directions are shifted well
+    clear), then certifies that lambda_{k+1} > ZERO_EIG_TOL, and the count is
+    k: the components are the zeros, whatever the graph's scale. With k = c,
+    F is E. With k < c and n >= LANCZOS_MIN_ORDER, shift-invert Lanczos on
+    that factor (:func:`spclust.numerics._shift_invert_lanczos`) finds the
+    c-k eigenvectors that follow, orthogonal to E, and F is E beside them.
+    Otherwise, and whenever the factorization or Lanczos fails (k > c, a
+    bridge so weak that lambda_{k+1} <= ZERO_EIG_TOL, no convergence within
+    the step cap), one symmetric_eigen call gives the c bottom eigenvectors,
+    and count is the number of the c+1 smallest eigenvalues below
+    ZERO_EIG_TOL.
     """
     n = L.shape[0]
     if c > n:
         raise ValueError(f"cannot take {c} eigenvectors from an order-{n} matrix")
     labels, count = _components(L != 0)
-    if count == c:
-        sizes = np.bincount(labels, minlength=c)
-        F = np.zeros((n, c))
-        F[np.arange(n), labels] = 1.0 / np.sqrt(sizes)[labels]
-        shifted = L.copy()
-        shifted.flat[:: n + 1] -= ZERO_EIG_TOL
-        if _is_positive_definite(shifted, F, max(1.0, float(L.diagonal().max()))):
-            return F, c
-        del shifted  # freed before the eigensolver makes its own copy of L
+    if count == c or (count < c and n >= LANCZOS_MIN_ORDER):
+        sizes = np.bincount(labels, minlength=count)
+        E = np.zeros((n, count))
+        E[np.arange(n), labels] = 1.0 / np.sqrt(sizes)[labels]
+        degree = float(L.diagonal().max())
+        factor = L.copy()
+        factor.flat[:: n + 1] -= ZERO_EIG_TOL
+        factor = _shifted_factor(factor, E, max(1.0, degree))
+        if factor is not None:
+            if count == c:
+                return E, c
+            pairs = _shift_invert_lanczos(L, factor, E, c - count, 2.0 * degree)
+            if pairs is not None:
+                return np.hstack([E, pairs.vectors]), count
+        del factor  # freed before the eigensolver makes its own copy of L
     eig = symmetric_eigen(L, c + 1)
     return eig.vectors[:, :c], int(np.count_nonzero(eig.values < ZERO_EIG_TOL))
 

@@ -279,11 +279,13 @@ def test_solver_calls_match_the_benchmark_attribution(monkeypatch):
     # the benchmark's traced run rebinds symmetric_eigen and spd_factorize
     # under every name in every spclust module, and fails the run unless
     # spd_factorize runs once for SPC and once per iteration for mSPC. Every
-    # F-step is either one eigensolve or one step read off c components,
-    # which factorizes its own copy of the Laplacian through a private helper
+    # F-step is one eigensolve, one read-off of c components or one Lanczos
+    # run; the last two factorize their own copy of the Laplacian through a
+    # private helper. The data are at the order where Lanczos starts.
     counts = {"symmetric_eigen": 0, "spd_factorize": 0}
-    fast = []
-    is_positive_definite = sp.numerics._is_positive_definite
+    factored, lanczos = [], []
+    shifted_factor = sp.numerics._shifted_factor
+    shift_invert_lanczos = sp.numerics._shift_invert_lanczos
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -292,31 +294,39 @@ def test_solver_calls_match_the_benchmark_attribution(monkeypatch):
 
         return wrapper
 
-    def checking(*args):
-        fast.append(is_positive_definite(*args))
-        return fast[-1]
+    def recording(into, fn):
+        def wrapper(*args):
+            result = fn(*args)
+            into.append(result is not None)
+            return result
+
+        return wrapper
 
     wrappers = [(getattr(sp.numerics, name), counting(name, getattr(sp.numerics, name))) for name in counts]
-    wrappers.append((is_positive_definite, checking))
+    wrappers.append((shifted_factor, recording(factored, shifted_factor)))
+    wrappers.append((shift_invert_lanczos, recording(lanczos, shift_invert_lanczos)))
     for name, module in list(sys.modules.items()):
         if name == "spclust" or name.startswith("spclust."):
             for attr, value in list(vars(module).items()):
                 for fn, wrapper in wrappers:
                     if value is fn:
                         monkeypatch.setattr(module, attr, wrapper)
-    X = blob_dataset()
-    cfg = sp.SpcConfig(alpha=1.0, beta=0.5, gamma=3.0, clusters=2, adapt_beta=True, seed=0)
-    spc_trace = sp.run_spc(sp.gaussian_kernel(X, 1.0), cfg).trace
+    X = sp.generate_two_moons(spc_module.LANCZOS_MIN_ORDER, noise_sigma=0.08, seed=0)
+    cfg = sp.SpcConfig(alpha=4.0, beta=0.125, gamma=1.0, clusters=2, adapt_beta=True, seed=0)
+    spc_trace = sp.run_spc(sp.normalize_kernel(sp.gaussian_kernel(X, 0.01)), cfg).trace
     assert counts["spd_factorize"] == 1
-    runs = [(spc_trace, dict(counts), sum(fast))]
+    runs = [(spc_trace, dict(counts), list(factored), list(lanczos))]
     counts.update(symmetric_eigen=0, spd_factorize=0)
-    fast.clear()
+    factored.clear()
+    lanczos.clear()
+    cfg = sp.SpcConfig(alpha=1.0, beta=0.5, gamma=3.0, clusters=2, adapt_beta=True, seed=0)
     mspc_trace = run_mspc(sp.build_standard_bank(X), cfg)[0].trace
     assert counts["spd_factorize"] == mspc_trace.iterations
-    runs.append((mspc_trace, counts, sum(fast)))
-    for trace, calls, fast_steps in runs:
-        assert calls["symmetric_eigen"] and fast_steps
-        assert calls["symmetric_eigen"] + fast_steps == trace.iterations
+    runs.append((mspc_trace, counts, factored, lanczos))
+    for trace, calls, factored, lanczos in runs:
+        read_offs = sum(factored) - len(lanczos)
+        assert calls["symmetric_eigen"] and read_offs and sum(lanczos)
+        assert calls["symmetric_eigen"] + read_offs + sum(lanczos) == trace.iterations
 
 
 def test_loop_arithmetic_follows_the_kernel_step(monkeypatch):

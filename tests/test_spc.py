@@ -7,7 +7,7 @@ import pytest
 import spclust as sp
 import spclust.spc as spc_module
 from spclust.numerics import gram_upper, product, symmetric_eigen
-from spclust.spc import ZERO_EIG_TOL, init_graph
+from spclust.spc import LANCZOS_MIN_ORDER, ZERO_EIG_TOL, init_graph
 
 PATH3_LAPLACIAN = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
 
@@ -187,6 +187,123 @@ def test_embedding_falls_back_to_the_eigensolver(monkeypatch):
     assert spc_module._components(L != 0)[1] == 2
     F, count = sp.update_embedding(L, 2)
     assert calls == [3] and count == 3
+
+
+def bridged_blocks(rng, n, c, k, bridge):
+    """c dense blocks on n shuffled samples, the first c-k+1 chained by single edges of weight bridge.
+
+    With a positive bridge the graph has k components; with bridge 0, c.
+    """
+    cuts = np.sort(rng.choice(np.arange(10, n - 10), c - 1, replace=False))
+    bounds = np.concatenate([[0], cuts, [n]])
+    Z = np.zeros((n, n))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        Z[lo:hi, lo:hi] = rng.random((hi - lo, hi - lo)) + 0.1
+    for b in range(1, c - k + 1):
+        Z[rng.integers(bounds[b - 1], bounds[b]), rng.integers(bounds[b], bounds[b + 1])] = bridge
+    perm = rng.permutation(n)
+    return Z[np.ix_(perm, perm)]
+
+
+def record_lanczos(monkeypatch):
+    """Collect what every Lanczos run of the F-step returned, None where it gave up."""
+    runs = []
+    lanczos = spc_module._shift_invert_lanczos
+
+    def recording(*args):
+        runs.append(lanczos(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(spc_module, "_shift_invert_lanczos", recording)
+    return runs
+
+
+def assert_spans_the_eigensolvers_subspace(L, c, F, count):
+    eig = symmetric_eigen(L, c + 1)
+    assert count == int(np.count_nonzero(eig.values < ZERO_EIG_TOL))
+    assert np.allclose(F.T @ F, np.eye(c), rtol=0, atol=1e-12)
+    V = eig.vectors[:, :c]
+    assert np.allclose(F @ F.T, V @ V.T, rtol=0, atol=1e-10)
+
+
+def test_embedding_by_lanczos_matches_the_eigensolver(monkeypatch):
+    # from LANCZOS_MIN_ORDER up, a graph with k < c components takes its
+    # indicators and the c-k next eigenvectors from shift-invert Lanczos,
+    # with no eigensolve, to the eigensolver's count and subspace
+    rng = np.random.default_rng(15)
+    n = LANCZOS_MIN_ORDER
+    eigensolves = record_eigensolves(monkeypatch)
+    runs = record_lanczos(monkeypatch)
+    sparse = rng.random((n, n)) * (rng.random((n, n)) < 0.02)
+    cases = [(sparse, 2), (sparse, 3)]
+    cases += [(bridged_blocks(rng, n, c, k, 1e-2), c) for c in (2, 3, 5) for k in range(1, c)]
+    for Z, c in cases:
+        L = sp.build_laplacian(Z)
+        k = spc_module._components(L != 0)[1]
+        F, count = sp.update_embedding(L, c)
+        assert k < c and count == k
+        assert not eigensolves and runs[-1] is not None and runs[-1].vectors.shape == (n, c - k)
+        assert_spans_the_eigensolvers_subspace(L, c, F, count)
+        again, again_count = sp.update_embedding(L, c)
+        assert again.tobytes() == F.tobytes() and again_count == count
+    assert len(runs) == 2 * len(cases)
+
+
+def test_embedding_by_lanczos_falls_back_to_the_eigensolver(monkeypatch):
+    rng = np.random.default_rng(16)
+    n = LANCZOS_MIN_ORDER
+    eigensolves = record_eigensolves(monkeypatch)
+    runs = record_lanczos(monkeypatch)
+    factorized = []
+    shifted_factor = spc_module._shifted_factor
+
+    def recording(*args):
+        factor = shifted_factor(*args)
+        factorized.append(factor is not None)
+        return factor
+
+    monkeypatch.setattr(spc_module, "_shifted_factor", recording)
+    # more components than c: no factorization, and the count is evr's
+    L = sp.build_laplacian(bridged_blocks(rng, n, 5, 5, 0.0))
+    F, count = sp.update_embedding(L, 3)
+    assert eigensolves == [4] and not factorized and count == 4
+    assert np.array_equal(F, symmetric_eigen(L, 4).vectors[:, :3])
+    # connected through a 1e-12 bridge: lambda_2 is below ZERO_EIG_TOL, so
+    # the factorization fails and Lanczos never runs
+    L = sp.build_laplacian(bridged_blocks(rng, n, 2, 1, 1e-12))
+    F, count = sp.update_embedding(L, 2)
+    assert eigensolves == [4, 3] and factorized == [False] and not runs and count == 2
+    # the solver's near-complete initial graph (lambda_2/lambda_3 about 0.99)
+    # takes Lanczos to its step cap
+    L = sp.build_laplacian(init_graph(n, 0))
+    F, count = sp.update_embedding(L, 2)
+    assert eigensolves == [4, 3, 3] and factorized == [False, True] and runs == [None] and count == 1
+    assert np.array_equal(F, symmetric_eigen(L, 3).vectors[:, :2])
+    # below LANCZOS_MIN_ORDER a graph with fewer than c components goes
+    # straight to the eigensolver, as it does at any order with more
+    L = sp.build_laplacian(bridged_blocks(rng, n - 1, 3, 1, 1e-2))
+    F, count = sp.update_embedding(L, 3)
+    assert eigensolves == [4, 3, 3, 4] and len(factorized) == 2 and len(runs) == 1 and count == 1
+
+
+def test_embedding_by_lanczos_counts_the_components_at_any_scale(monkeypatch):
+    # two blocks joined by weak bridges: connected, so L has one zero
+    # eigenvalue. Scaled by 1e9, evr's rounding puts it far above the
+    # absolute ZERO_EIG_TOL and reads no zero at all; the factorization
+    # certifies the component itself, so the count stays 1
+    rng = np.random.default_rng(17)
+    n = 600
+    eigensolves = record_eigensolves(monkeypatch)
+    Z = permuted_blocks(rng, [n // 2, n // 2])
+    Z[rng.integers(0, n, 10), rng.integers(0, n, 10)] = 1e-3
+    assert spc_module._components(Z > 0)[1] == 1
+    for scale in (1.0, 1e6, 1e9):
+        L = sp.build_laplacian(Z * scale)
+        F, count = sp.update_embedding(L, 2)
+        assert count == 1 and not eigensolves
+        V = symmetric_eigen(L, 2).vectors
+        assert np.allclose(F @ F.T, V @ V.T, rtol=0, atol=1e-10)
+    assert symmetric_eigen(L, 3).values[0] > ZERO_EIG_TOL
 
 
 def test_components_match_scipy():
@@ -564,26 +681,29 @@ def test_loop_memory_budget(solver):
     # beyond the kernel (spc) or the bank (mspc, which adds its combined
     # kernel), the loop keeps K, A^{-1} and Z alive across iterations, plus
     # two n x n transients at a time: the Laplacian and the eigensolver's
-    # copy of it, or the projected graph and the ZZ' triangle. That reads
-    # 4.26 and 5.24 n^2; a loop that also kept the Cholesky factor and
-    # A^{-1}K read 5.26 and 6.24, and one that kept stale bindings and built
-    # its sums in whole-matrix temporaries read 8.03 and 9.03
-    n = 300
-    X = sp.generate_two_moons(n, noise_sigma=0.08, seed=0)
-    if solver == "spc":
-        run, data, budget = sp.run_spc, sp.normalize_kernel(sp.gaussian_kernel(X, 0.01)), 4.5
-        cfg = sp.SpcConfig(alpha=4.0, beta=0.125, gamma=1.0, clusters=2, adapt_beta=True, max_iters=5)
-    else:
-        run, data, budget = sp.run_mspc, sp.build_standard_bank(X), 5.5
-        cfg = sp.SpcConfig(alpha=1.0, beta=0.5, gamma=3.0, clusters=2, adapt_beta=True, max_iters=5)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        run(data, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (peak - start) / (8 * n * n) <= budget
+    # copy of it (or the copy the F-step factorizes for its read-off or its
+    # Lanczos run), or the projected graph and the ZZ' triangle. At n = 300
+    # that reads 4.26 and 5.24 n^2; a loop that also kept the Cholesky factor
+    # and A^{-1}K read 5.26 and 6.24, and one that kept stale bindings and
+    # built its sums in whole-matrix temporaries read 8.03 and 9.03. At
+    # LANCZOS_MIN_ORDER iterations 1-4 run Lanczos, whose basis is
+    # (components + step cap) vectors of n, and the peak reads 4.18 and 5.18
+    for n in (300, LANCZOS_MIN_ORDER):
+        X = sp.generate_two_moons(n, noise_sigma=0.08, seed=0)
+        if solver == "spc":
+            run, data, budget = sp.run_spc, sp.normalize_kernel(sp.gaussian_kernel(X, 0.01)), 4.5
+            cfg = sp.SpcConfig(alpha=4.0, beta=0.125, gamma=1.0, clusters=2, adapt_beta=True, max_iters=5)
+        else:
+            run, data, budget = sp.run_mspc, sp.build_standard_bank(X), 5.5
+            cfg = sp.SpcConfig(alpha=1.0, beta=0.5, gamma=3.0, clusters=2, adapt_beta=True, max_iters=5)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run(data, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - start) / (8 * n * n) <= budget, n
 
 
 def test_solver_deterministic():
