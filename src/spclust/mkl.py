@@ -10,8 +10,11 @@ weights. After each projection the loop computes the per-kernel fit costs
 with :func:`spclust.spc.kernel_costs` (re-exported here), from the same ZZ'
 triangle that gives the objective's fit term. This module supplies only the
 kernel step, which turns those costs into new weights through the
-closed-form KKT solution w_i = (h_i * sum_j 1/h_j)^(-2) and recombines the
-bank. Kernels that explain the learned graph cheaply earn larger weights.
+closed-form KKT solution w_i = (h_i * sum_j 1/h_j)^(-2). Kernels that
+explain the learned graph cheaply earn larger weights. The loop sums the
+bank under each iteration's weights straight into A = H + 2*gamma*I and
+never forms H itself; :func:`combine_kernels` forms H once, after the loop,
+from the final weights.
 
 Weights start at the literal 1/r, which breaks the sqrt-sum constraint for
 r > 1; the first update restores feasibility and every later iterate keeps
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import KernelMatrix, as_bank
-from .numerics import _BLOCK_ROWS
+from .numerics import _weighted_sum
 from .spc import ClusteringResult, SpcConfig, alternate, kernel_costs
 
 
@@ -46,11 +49,10 @@ def combine_kernels(bank: list[KernelMatrix], w: np.ndarray) -> KernelMatrix:
     There must be one weight per kernel, each finite and nonnegative; any
     such weights combine, the 1/r start of run_mspc included. sum(sqrt(w))
     = 1 is a property of update_weights' output and is not checked here.
-    H is summed block by block: each block of 64 rows is accumulated over
-    all kernels, in bank order, while it is in cache, through one
-    block-sized scratch array. Per entry it is the same multiply-then-add
-    sequence as the plain sum, so the bits are the same. Bare arrays enter
-    through as_bank and add their symmetric parts.
+    H is summed in bank order by the loop's own routine
+    (:func:`spclust.numerics._weighted_sum`, BLAS daxpy), so it is exactly
+    symmetric and within rounding of the plain sum, though not always its
+    bits. Bare arrays enter through as_bank and add their symmetric parts.
     """
     bank, n = as_bank(bank)
     w = np.asarray(w, dtype=float)
@@ -58,14 +60,7 @@ def combine_kernels(bank: list[KernelMatrix], w: np.ndarray) -> KernelMatrix:
         raise ValueError(f"got {w.shape[0] if w.ndim == 1 else w.shape} weights for {len(bank)} kernels")
     if np.any(w < 0) or not np.all(np.isfinite(w)):
         raise ValueError(f"weights must be finite and nonnegative, got {w}")
-    H = np.zeros((n, n))
-    scratch = np.empty((min(_BLOCK_ROWS, n), n))
-    for lo in range(0, n, _BLOCK_ROWS):
-        block = H[lo : lo + _BLOCK_ROWS]
-        scaled = scratch[: block.shape[0]]
-        for wi, K in zip(w, bank):
-            block += np.multiply(K.values[lo : lo + _BLOCK_ROWS], wi, out=scaled)
-    return KernelMatrix(H)
+    return KernelMatrix(_weighted_sum([K.values for K in bank], w))
 
 
 def update_weights(h: np.ndarray) -> np.ndarray:
@@ -95,11 +90,12 @@ def run_mspc(bank: list[KernelMatrix], cfg: SpcConfig) -> tuple[ClusteringResult
 
     Runs the loop of :func:`spclust.spc.alternate` on the bank, starting
     from the literal 1/r weights. After each projection the kernel step
-    takes the loop's fit costs of the new graph, refreshes the weights from
-    them and combines the bank into the next iteration's kernel. Stops like
-    the single-kernel solver: relative Frobenius change of Z below
-    cfg.rel_tol, or cfg.max_iters. The returned state holds the last step's
-    weights, costs and combined kernel.
+    takes the loop's fit costs of the new graph and returns the weights
+    they give, which the loop sums the bank under at the next iteration.
+    Stops like the single-kernel solver: relative Frobenius change of Z
+    below cfg.rel_tol, or cfg.max_iters. The returned state holds the last
+    step's weights and costs, and the combined kernel of those weights,
+    formed once, after the loop.
 
     A bank of one kernel reproduces the single-kernel run bit for bit given
     the same seed, since the lone weight is exactly 1. The bank enters once,
@@ -109,13 +105,12 @@ def run_mspc(bank: list[KernelMatrix], cfg: SpcConfig) -> tuple[ClusteringResult
     bank, _ = as_bank(bank)
     r = len(bank)
     # literal published initialization; infeasible for r > 1 until first update
-    w = np.full(r, 1.0 / r)
-    state = MklState(weights=w, combined=combine_kernels(bank, w), costs=np.full(r, np.nan))
+    weights, costs = np.full(r, 1.0 / r), np.full(r, np.nan)
 
-    def kernel_step(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        state.costs = h
-        state.weights = update_weights(h)
-        state.combined = combine_kernels(bank, state.weights)
-        return state.weights, state.combined.values
+    def kernel_step(h: np.ndarray) -> np.ndarray:
+        nonlocal weights, costs
+        costs, weights = h, update_weights(h)
+        return weights
 
-    return alternate(state.combined, cfg, bank, w, kernel_step), state
+    result = alternate(bank, weights, cfg, kernel_step)
+    return result, MklState(weights=weights, combined=combine_kernels(bank, weights), costs=costs)

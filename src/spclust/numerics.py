@@ -11,8 +11,9 @@ triangle, as LAPACK does, and never re-symmetrize.
 All BLAS and LAPACK work of the solvers goes through scipy: products through
 :func:`product` (``dgemm``), the Gram triangle through :func:`gram_upper`
 (``dsyrk``, half the flops of ``dgemm``), the inverse of a factorized matrix
-through :func:`spd_inverse` (``dpotri``), factorizations and eigensolves
-through ``scipy.linalg``, and inner products through ``ddot``. The F-step
+through :func:`spd_inverse` (``dpotri``), weighted sums of kernels through
+:func:`_weighted_sum` (``daxpy``), factorizations and eigensolves through
+``scipy.linalg``, and inner products through ``ddot``. The F-step
 has two private helpers: :func:`_shifted_factor` (a rank update and a
 Cholesky factorization in the caller's buffer, whose success certifies that
 a graph's components give its whole null space) and
@@ -40,14 +41,13 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal
-from scipy.linalg.blas import ddot, dgemm, dgemv, dsyrk
+from scipy.linalg.blas import daxpy, ddot, dgemm, dgemv, dsyrk
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 # rows of an n x n update done at a time (spd_inverse's mirror, the graph
-# step, spc.kernel_costs and mkl.combine_kernels); at n = 1000 a block of the
-# target, its scratch and a block of the operand take 1.5 MB, small enough
-# for a 2 MB L2 (32 and 64 rows measured alike in combine_kernels, 16 and
-# 128 slower)
+# step and spc.kernel_costs); at n = 1000 a block of the target, its scratch
+# and a block of the operand take 1.5 MB, small enough for a 2 MB L2 (32 and
+# 64 rows measured alike on a blocked sum of 12 kernels, 16 and 128 slower)
 _BLOCK_ROWS = 64
 
 # the F-step's shift-invert Lanczos (_shift_invert_lanczos): at most this
@@ -202,6 +202,25 @@ def spd_inverse(factor: np.ndarray) -> np.ndarray:
         hi = min(lo + _BLOCK_ROWS, n)
         block = out[lo:hi, :hi]
         np.copyto(block, out[:hi, lo:hi].T, where=np.tri(hi - lo, hi, k=lo - 1, dtype=bool))
+    return out
+
+
+def _weighted_sum(kernels: list[np.ndarray], weights: np.ndarray, shift: float = 0.0) -> np.ndarray:
+    """sum_i weights[i] * kernels[i] + shift*I in one new n x n buffer, by scipy's daxpy.
+
+    Each kernel is added in turn over its raveled values, onto zeros, and
+    then shift onto the diagonal. daxpy treats every entry alike, so a sum
+    of exactly symmetric kernels is exactly symmetric. It may fuse each
+    multiply and add into one rounding, so the bits can differ from numpy's
+    H + w * K; one kernel at weight 1 gives its own values (a -0.0 becomes
+    +0.0). The sum runs on the BLAS threads and makes no temporary.
+    """
+    n = kernels[0].shape[0]
+    out = np.zeros(n * n)
+    for w, K in zip(weights, kernels):
+        out = daxpy(np.ravel(K), out, a=w)
+    out = out.reshape(n, n)
+    out.flat[:: n + 1] += shift
     return out
 
 

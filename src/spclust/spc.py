@@ -32,34 +32,36 @@ Each outer iteration alternates:
 The objective diagnostics come from exact identities rather than from
 :func:`objective`: the spectral term is 0.5*<Z, P>, the normal equations
 give K Z = alpha*K - (beta/2)*P - 2*gamma*Z for the unprojected graph step,
+whose trace gives <K, Z> = alpha*tr(K) - 2*gamma*tr(Z) there (tr P = 0),
 and the rest of the objective at a projected graph is half the fit cost
 tr(K) + <K, ZZ' - 2*alpha*Z> plus the ridge term. :func:`kernel_costs`
 computes that cost for every kernel of a bank from one triangle of ZZ', the
 one n x n product of an iteration. Every identity needs K exactly
 symmetric: a kernel enters once, through :func:`spclust.kernels.as_kernel`,
 which trusts a KernelMatrix without a copy and symmetrizes a bare array, and
-every later matrix (each combined kernel, A, the Laplacian, ZZ') is exactly
-symmetric by construction, so none is symmetrized again.
+every later matrix (A, the Laplacian, ZZ') is exactly symmetric by
+construction, so none is symmetrized again.
 
 The loop lives here once, in :func:`alternate`. It calls each step above
 through its module-level name and runs no other F- or Z-step. It runs on a
 weighted bank of kernels; SPC is one kernel with weight 1. The
 multiple-kernel solver in :mod:`spclust.mkl` supplies a kernel step that
-turns the costs of each projected graph into new weights and a newly
-combined kernel.
+turns the costs of each projected graph into new weights. The loop sums
+the bank under its weights straight into A = K + 2*gamma*I (BLAS daxpy)
+and never forms the weighted kernel K itself.
 
-Memory: the n x n arrays that live through an iteration are K, A^{-1} and
-Z. Besides them the loop holds one transient of its own (the Laplacian, the
-unprojected graph or the ZZ' triangle) and at most one more array: the
-eigensolver's copy of the Laplacian (or the F-step's shifted copy that is
-factorized in place, which Lanczos then solves with beside a basis of k
-plus the step cap vectors of n), or the projected graph that becomes the
-next Z. So the traced peak is about 4 n^2 floats beyond the kernel (5
-beyond an mSPC bank, whose combined kernel is one more). Scaled sums into
-an n x n array run in 64-row blocks (:func:`_add_scaled`), the old Z takes
-the step Z_new - Z, and each buffer is released as soon as it is dead: the
-Cholesky factor once dpotri has read it, and A^{-1} before the kernel step
-and before the labels are read.
+Memory: beyond the kernel (or the bank), the n x n arrays that live
+through an iteration are A^{-1} and Z. Besides them the loop holds one
+transient of its own (the Laplacian, the unprojected graph or the ZZ'
+triangle) and at most one more array: the eigensolver's copy of the
+Laplacian (or the F-step's shifted copy that is factorized in place, which
+Lanczos then solves with beside a basis of k plus the step cap vectors of
+n), or the projected graph that becomes the next Z. So the traced peak is
+about 4 n^2 floats beyond the kernel or the bank alike. Scaled sums into an
+n x n array run in 64-row blocks (:func:`_add_scaled`), the old Z takes the
+step Z_new - Z, and each buffer is released as soon as it is dead: A and
+its Cholesky factor once dpotri has read the factor, and A^{-1} before the
+kernel step and before the labels are read.
 """
 
 from __future__ import annotations
@@ -80,6 +82,7 @@ from .numerics import (
     _shift_invert_lanczos,
     _shifted_factor,
     _symmetric_part,
+    _weighted_sum,
     gram_upper,
     product,
     spd_factorize,
@@ -215,14 +218,18 @@ class SpcTrace:
     series capture the value right after the embedding step and right after
     the (unprojected) graph step, so descent of the exact minimizers can be
     audited after the run. All three come from exact identities (see the
-    module docstring) and agree with :func:`objective` up to rounding.
+    module docstring) and agree with :func:`objective` up to rounding. The
+    preservation term after the graph step is <K, Z_u> = alpha*tr(K) -
+    2*gamma*tr(Z_u), the trace of the normal equations at the unprojected
+    graph Z_u (tr P = 0), with tr(K) = sum_i w_i tr(K^i), so no series
+    reads a combined kernel's values.
     ``near_zero_eigs`` is the count of near-zero Laplacian eigenvalues among
     the c+1 smallest that :func:`update_embedding` returns, so it is at most
     c+1: the number k <= c of the graph's components when a Cholesky
     factorization certified them, else the number of eigenvalues below
     ZERO_EIG_TOL.
     ``wall_time`` holds the seconds each iteration took; for mSPC that
-    includes combining the next iteration's kernel.
+    includes summing the bank into A and the weight update.
     Every series is in the run report, checked against these annotations,
     so a series added here is reported with no report code.
     """
@@ -414,42 +421,40 @@ def run_spc(K, cfg: SpcConfig) -> ClusteringResult:
     at most once per iteration and 30 times total. This is an extension
     beyond the fixed-beta algorithm and is off by default.
     """
-    return alternate(K, cfg)
+    return alternate([K], np.ones(1), cfg)
 
 
 def alternate(
-    K,
+    bank: list[KernelMatrix],
+    weights: np.ndarray,
     cfg: SpcConfig,
-    bank: Optional[list[KernelMatrix]] = None,
-    weights: Optional[np.ndarray] = None,
-    kernel_step: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None,
+    kernel_step: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> ClusteringResult:
     """The alternating loop behind run_spc and run_mspc.
 
-    K = sum_i weights[i] * bank[i]; without a bank, K is one kernel with
-    weight 1. After every projection the loop takes the bank's fit costs h
-    from kernel_costs, and the objective's fit term is 0.5*<weights, h>.
-    Without kernel_step, K stays fixed and is factorized once. With it,
-    kernel_step(h) returns the weights and the (exactly symmetric) combined
-    kernel values of the following iteration, which is factorized when that
-    iteration starts, so never for the kernel returned after the last one.
-    K enters through as_kernel, the bank must have passed as_bank. A^{-1}
-    comes from spd_inverse, and the Cholesky factor is dropped as soon as
-    dpotri has read it; the loop solves no right-hand side.
+    The loop's kernel is K = sum_i weights[i] * bank[i]; SPC is one kernel
+    with weight 1. After every projection the loop takes the bank's fit
+    costs h from kernel_costs, and the objective's fit term is
+    0.5*<weights, h>. Without kernel_step the weights stay fixed and A = K +
+    2*gamma*I is factorized once. With it, kernel_step(h) returns the
+    weights of the following iteration, whose A is summed from the bank
+    (:func:`spclust.numerics._weighted_sum`) and factorized when that
+    iteration starts, so never for the weights returned after the last one.
+    K itself is never formed (see :class:`SpcTrace`). The bank enters
+    through as_bank. A^{-1} comes from spd_inverse, and A and its Cholesky
+    factor are dropped as soon as dpotri has read it; the loop solves no
+    right-hand side.
 
-    The n x n arrays alive through an iteration are K, A^{-1} and Z, plus
-    at any time one transient and at most one array made from it (see the
-    module docstring). The blocked and in-place updates give the
-    bits of the plain whole-matrix expressions.
+    The n x n arrays alive through an iteration are A^{-1} and Z, plus at
+    any time one transient and at most one array made from it (see the
+    module docstring). The blocked and in-place updates give the bits of
+    the plain whole-matrix expressions.
     """
-    # only K's values stay bound, so mSPC frees its first combined kernel
-    K = as_kernel(K)
-    n = K.order
+    bank, n = as_bank(bank)
     if cfg.clusters > n:
         raise ValueError(f"clusters={cfg.clusters} exceeds the number of samples {n}")
-    if bank is None:
-        bank, weights = [K], np.ones(1)
-    K = K.values
+    kernels = [K.values for K in bank]
+    traces = np.array([np.trace(K) for K in kernels])
 
     inv = None
     Z = init_graph(n, cfg.seed)
@@ -463,7 +468,7 @@ def alternate(
     for _ in range(cfg.max_iters):
         tic = time.perf_counter()
         if inv is None:
-            inv = spd_inverse(spd_factorize(_ridged(K, 2.0 * cfg.gamma)))
+            inv = spd_inverse(spd_factorize(_weighted_sum(kernels, weights, 2.0 * cfg.gamma)))
         F, zero_eigs = update_embedding(build_laplacian(Z), cfg.clusters)
 
         if cfg.adapt_beta and adjustments < MAX_BETA_ADJUSTMENTS:
@@ -478,9 +483,12 @@ def alternate(
         obj_f = 0.5 * _inner(weights, h) + cfg.gamma * z_sq + beta * _spectral(Z, F, s)
         Z_unproj = update_graph(inv, F, cfg.alpha, beta, cfg.gamma)
         # K Z_unproj = alpha*K - (beta/2)*P - 2*gamma*Z_unproj turns the fit
-        # and ridge terms into the preservation and spectral ones
+        # and ridge terms into the preservation and spectral ones, and its
+        # trace gives the preservation term (tr P = 0)
         spectral = _spectral(Z_unproj, F, s)
-        obj_z = 0.5 * (float(np.trace(K)) - cfg.alpha * _inner(K, Z_unproj) + beta * spectral)
+        trace_k = _inner(weights, traces)
+        preserve = cfg.alpha * trace_k - 2.0 * cfg.gamma * float(np.trace(Z_unproj))
+        obj_z = 0.5 * (trace_k - cfg.alpha * preserve + beta * spectral)
         Z_new = project_nonneg(Z_unproj)
         del Z_unproj
         new_sq = _inner(Z_new, Z_new)
@@ -498,7 +506,7 @@ def alternate(
 
         if kernel_step is not None:
             inv = None
-            weights, K = kernel_step(h)
+            weights = kernel_step(h)
 
         trace.objective.append(float(obj))
         trace.objective_after_embedding.append(float(obj_f))
@@ -567,16 +575,6 @@ def _spectral(Z: np.ndarray, F: np.ndarray, s: np.ndarray) -> float:
     """
     sums = Z.sum(axis=0) + Z.sum(axis=1)
     return 0.5 * float(np.sum(s * sums)) - _inner(product(Z, F), F)
-
-
-def _ridged(K: np.ndarray, shift: float) -> np.ndarray:
-    """K + shift*I in one new buffer, with the bits of K + shift * np.eye(n).
-
-    Adding 0.0 off the diagonal turns a -0.0 into +0.0, as that sum does.
-    """
-    A = np.add(K, 0.0)
-    A.flat[:: A.shape[0] + 1] += shift
-    return A
 
 
 def _add_scaled(out: np.ndarray, a: np.ndarray, scale: float) -> None:

@@ -45,18 +45,30 @@ def test_combine_two_kernel_average():
     assert np.allclose(H.values, 0.25 * (bank[0].values + bank[1].values), atol=1e-15)
 
 
-def test_combine_equals_the_plain_weighted_sum_bit_for_bit():
-    # summing block by block changes no bit of sum_i w_i K^i; 150 rows are
-    # two full 64-row blocks and a partial one
+def test_combine_is_symmetric_and_within_rounding_of_the_plain_sum():
+    # daxpy may fuse each multiply and add into one rounding where numpy
+    # rounds twice, so the sum is held to an entrywise rounding bound, not
+    # to numpy's bits. It must stay exactly symmetric, also where the BLAS
+    # loop has a remainder (n^2 odd), and one kernel at weight 1, alone or
+    # beside a weight of 0, must come back bit for bit
     rng = np.random.default_rng(4)
-    for n in (7, 150):
-        bank = random_bank(rng, n, 3)
-        w = rng.random(3)
-        H = np.zeros((n, n))
+    eps = np.finfo(float).eps
+    r = 12
+    for n in (7, 150, 333):
+        bank = random_bank(rng, n, r)
+        w = rng.random(r)
+        plain = np.zeros((n, n))
+        bound = np.zeros((n, n))
         for wi, K in zip(w, bank):
-            H = H + wi * K.values
-        combined = combine_kernels(bank, w).values
-        assert combined.tobytes() == (0.5 * (H + H.T)).tobytes()
+            plain = plain + wi * K.values
+            bound = bound + abs(wi) * np.abs(K.values)
+        combined = sp.numerics._weighted_sum([K.values for K in bank], w)
+        assert combined.tobytes() == combined.T.copy().tobytes(), n
+        assert np.all(np.abs(combined - plain) <= r * eps * bound), n
+        assert combine_kernels(bank, w).values.tobytes() == combined.tobytes(), n
+    for w in ([1.0], [1.0, 0.0]):
+        bank = random_bank(rng, 9, len(w))
+        assert combine_kernels(bank, w).values.tobytes() == bank[0].values.tobytes()
 
 
 def test_combine_validates_inputs():
@@ -241,8 +253,8 @@ def test_single_kernel_bank_reproduces_plain_solver():
 
 
 def test_factorizes_once_per_kernel(monkeypatch):
-    # a fixed kernel is factorized once; a bank's kernel changes every
-    # iteration, and the one combined after the last iteration is never used.
+    # a fixed kernel is factorized once; a bank's weights change every
+    # iteration, and those returned after the last iteration are never used.
     # Both solvers form the ZZ' triangle once for the initial graph and once
     # per projected graph: the objective's fit term and the kernel weights
     # share it.
@@ -273,6 +285,44 @@ def test_factorizes_once_per_kernel(monkeypatch):
     result, _ = run_mspc(sp.build_standard_bank(X), cfg)
     assert result.trace.iterations > 1 and len(calls) == result.trace.iterations
     assert grams == [(n, n)] * (result.trace.iterations + 1)
+
+
+def test_loop_factorizes_the_ridged_sum_under_the_returned_weights(monkeypatch):
+    # the loop sums the bank into A = sum_i w_i K^i + 2*gamma*I itself, under
+    # the 1/r start and then the weights each kernel step returns, within the
+    # rounding bound of the combine test; combine_kernels runs once per run,
+    # after the loop, for the returned state
+    factored, returned, combined = [], [], []
+    mkl_module = sys.modules["spclust.mkl"]
+
+    def recording_factorize(A):
+        factored.append(A.copy())
+        return sp.spd_factorize(A)
+
+    def recording_weights(h):
+        returned.append(update_weights(h))
+        return returned[-1]
+
+    def recording_combine(bank, w):
+        combined.append(np.array(w))
+        return combine_kernels(bank, w)
+
+    monkeypatch.setattr(spc_module, "spd_factorize", recording_factorize)
+    monkeypatch.setattr(mkl_module, "update_weights", recording_weights)
+    monkeypatch.setattr(mkl_module, "combine_kernels", recording_combine)
+    bank = sp.build_standard_bank(blob_dataset())
+    r, n = len(bank), bank[0].order
+    cfg = sp.SpcConfig(alpha=1.0, beta=0.5, gamma=3.0, clusters=2, adapt_beta=True, max_iters=6, seed=0)
+    result, state = run_mspc(bank, cfg)
+    assert len(factored) == len(returned) == result.trace.iterations > 1
+    assert len(combined) == 1 and np.array_equal(combined[0], state.weights)
+    assert np.array_equal(state.weights, returned[-1])
+    eps = np.finfo(float).eps
+    for A, w in zip(factored, [np.full(r, 1.0 / r)] + returned[:-1]):
+        plain = sum(wi * K.values for wi, K in zip(w, bank)) + 2.0 * cfg.gamma * np.eye(n)
+        bound = sum(abs(wi) * np.abs(K.values) for wi, K in zip(w, bank)) + 2.0 * cfg.gamma * np.eye(n)
+        assert A.tobytes() == A.T.copy().tobytes()
+        assert np.all(np.abs(A - plain) <= r * eps * bound)
 
 
 def test_solver_calls_match_the_benchmark_attribution(monkeypatch):

@@ -678,23 +678,25 @@ def test_loop_arithmetic_matches_reference_functions(monkeypatch):
 
 @pytest.mark.parametrize("solver", ["spc", "mspc"])
 def test_loop_memory_budget(solver):
-    # beyond the kernel (spc) or the bank (mspc, which adds its combined
-    # kernel), the loop keeps K, A^{-1} and Z alive across iterations, plus
-    # two n x n transients at a time: the Laplacian and the eigensolver's
-    # copy of it (or the copy the F-step factorizes for its read-off or its
-    # Lanczos run), or the projected graph and the ZZ' triangle. At n = 300
-    # that reads 4.26 and 5.24 n^2; a loop that also kept the Cholesky factor
-    # and A^{-1}K read 5.26 and 6.24, and one that kept stale bindings and
-    # built its sums in whole-matrix temporaries read 8.03 and 9.03. At
-    # LANCZOS_MIN_ORDER iterations 1-4 run Lanczos, whose basis is
-    # (components + step cap) vectors of n, and the peak reads 4.18 and 5.18
+    # beyond the kernel (spc) or the bank (mspc, which sums the bank straight
+    # into A and keeps no combined kernel), the loop keeps A^{-1} and Z
+    # alive across iterations, plus two n x n transients at a time: the
+    # Laplacian and the eigensolver's copy of it (or the copy the F-step
+    # factorizes for its read-off or its Lanczos run), or the projected
+    # graph and the ZZ' triangle. At n = 300 that reads 4.26 and 4.24 n^2;
+    # an mSPC loop that kept its combined kernel read 5.24, one that also
+    # kept the Cholesky factor and A^{-1}K read 5.26 and 6.24, and one that
+    # kept stale bindings and built its sums in whole-matrix temporaries
+    # read 8.03 and 9.03. At LANCZOS_MIN_ORDER iterations 1-4 run Lanczos,
+    # whose basis is (components + step cap) vectors of n, and the peak
+    # reads 4.18 for both
     for n in (300, LANCZOS_MIN_ORDER):
         X = sp.generate_two_moons(n, noise_sigma=0.08, seed=0)
         if solver == "spc":
             run, data, budget = sp.run_spc, sp.normalize_kernel(sp.gaussian_kernel(X, 0.01)), 4.5
             cfg = sp.SpcConfig(alpha=4.0, beta=0.125, gamma=1.0, clusters=2, adapt_beta=True, max_iters=5)
         else:
-            run, data, budget = sp.run_mspc, sp.build_standard_bank(X), 5.5
+            run, data, budget = sp.run_mspc, sp.build_standard_bank(X), 4.5
             cfg = sp.SpcConfig(alpha=1.0, beta=0.5, gamma=3.0, clusters=2, adapt_beta=True, max_iters=5)
         tracemalloc.start()
         try:
