@@ -17,10 +17,10 @@ through :func:`spd_inverse` (``dpotri``), weighted sums of kernels through
 has two private helpers: :func:`_shifted_factor` (a rank update and a
 Cholesky factorization in the caller's buffer, whose success certifies that
 a graph's components give its whole null space) and
-:func:`_shift_invert_lanczos`, which finds the next eigenvectors with
-``dpotrs`` solves on that factor, ``dgemv`` and ``ddot`` for the
-reorthogonalization, :func:`product` for the Ritz vectors and
-``eigh_tridiagonal`` for the small tridiagonal problem. numpy's
+:func:`_shift_invert_lanczos`, which finds the next eigenvectors by
+scipy's ARPACK (``eigsh``) with ``dpotrs`` solves on that factor and checks
+them with :func:`product` and ``ddot``; ARPACK links the same OpenBLAS as
+``scipy.linalg``. numpy's
 ``@``, ``np.dot`` and ``np.linalg`` are kept out of the solver modules, the
 loop and :func:`spclust.spc.objective` alike. numpy and scipy each load
 their own OpenBLAS, and after a numpy BLAS call numpy's worker thread keeps
@@ -40,9 +40,10 @@ import math
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
-from scipy.linalg.blas import daxpy, ddot, dgemm, dgemv, dsyrk
+from scipy.linalg import eigh
+from scipy.linalg.blas import daxpy, ddot, dgemm, dsyrk
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 # rows of an n x n update done at a time (spd_inverse's mirror, the graph
 # step and spc.kernel_costs); at n = 1000 a block of the target, its scratch
@@ -50,19 +51,27 @@ from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 # 64 rows measured alike on a blocked sum of 12 kernels, 16 and 128 slower)
 _BLOCK_ROWS = 64
 
-# the F-step's shift-invert Lanczos (_shift_invert_lanczos): at most this
-# many solves, and a Ritz pair passes at a residual of at most
-# _LANCZOS_RESIDUAL * ||A||. Measured on the 235 connected Laplacians of SPC
-# and mSPC runs at the README settings, n = 100-1000 (two moons rotated by
-# data seed 1): at 1e-13 the graphs took a median of 12 solves (1e-12: 11)
-# and FF' came within 5e-14 of evr's on every n = 1000 graph (1e-12: 8e-13),
-# which keeps the n = 1000 runs' objective series within 1.2e-10 of evr's
-# (1e-12: 6.4e-10). Past iteration 0 every graph took at most 39 solves,
-# except in two mSPC runs (n = 600 and 800) that swing between 1 and 2
-# components for 300 iterations: there lambda_2/lambda_3 >= 0.994 and 80
-# solves did not converge. Iteration 0's near-complete random graph took
-# 41-70 solves or more. A solve costs about 0.7 ms at n = 1000 on 2 cores.
-_LANCZOS_STEPS = 50
+# the F-step's shift-invert Lanczos (_shift_invert_lanczos) runs ARPACK on
+# _LANCZOS_NCV Lanczos vectors for one wanted eigenvector, two more for each
+# further one. The solver's random initial graph (lambda_2/lambda_3 about
+# 0.999; n = 400-1500, solver seeds 0-2) took 5-15 restarts and 57-137
+# solves with 16 vectors (8: 15-74 restarts, 69-305 solves; 20: 51-175
+# solves), the later connected Laplacians of the n = 1000 SPC and mSPC runs
+# (two moons rotated by data seed 1) at most 3 restarts, and connected
+# n = 400 graphs with 8 and 11 wanted vectors 2-6 restarts.
+_LANCZOS_NCV = 16
+# ARPACK gives up after this many restarts, and evr runs. Seed 0's initial
+# graph needs 9 at n = 400 and 8 at n = 1000. The two mSPC runs (n = 600 and
+# 800) that swing between 1 and 2 components for 300 iterations mostly have
+# lambda_3 - lambda_2 at 1e-11 to 2e-9 of ||A||, not resolved in 300
+# restarts; such a graph spends 113 solves, about 40 ms at n = 600 on 2
+# cores, before evr's 12-18 ms.
+_LANCZOS_RESTARTS = 12
+# a Ritz pair passes at an ARPACK estimate of at most this times its Ritz
+# value and a true residual of at most this times ||A||. On the 33 connected
+# Laplacians of those n = 1000 runs FF' came within 1.5e-13 of evr's (1e-12:
+# 4.7e-12), and the objective series within 2.6e-12 (SPC) and 3.7e-11 (mSPC)
+# of evr-only runs (1e-12: 2.0e-12, 2.5e-10), at the same median of 17 solves.
 _LANCZOS_RESIDUAL = 1e-13
 
 
@@ -242,83 +251,44 @@ def _shifted_factor(A: np.ndarray, F: np.ndarray, scale: float) -> Optional[np.n
     return a if info == 0 else None
 
 
-def _shift_invert_lanczos(
-    A: np.ndarray, factor: np.ndarray, E: np.ndarray, count: int, norm: float
-) -> Optional[EigenSystem]:
-    """The count smallest eigenpairs of the symmetric A orthogonal to E, or None.
+def _shift_invert_lanczos(A: np.ndarray, factor: np.ndarray, count: int, norm: float) -> Optional[EigenSystem]:
+    """The count smallest eigenpairs of the symmetric A off a shifted null space, or None.
 
-    E (n x k, 1 <= k <= n - count) has orthonormal columns that span an
-    invariant subspace of A, and factor is the lower Cholesky factor of a matrix M
-    that acts as A - shift*I on E's orthogonal complement, for a shift
-    below every eigenvalue there: the F-step's A - ZERO_EIG_TOL*I +
-    sigma*EE', which :func:`_shifted_factor` certifies. Lanczos on M^{-1}
-    (the spectral transformation Lanczos method of Ericsson and Ruhe, 1980)
-    meets the wanted eigenvalues first, as the largest of 1/(lambda -
-    shift). Each step is one dpotrs solve. Every new vector is projected
-    off E and fully reorthogonalized by two classical Gram-Schmidt passes
-    (dgemv) against E and the basis so far, which hold (k +
-    _LANCZOS_STEPS) * n floats. The start vector is fixed, so two calls
-    give the same bits.
+    factor is the lower Cholesky factor of the F-step's M = A -
+    ZERO_EIG_TOL*I + sigma*EE', certified by :func:`_shifted_factor`: E, the
+    normalized component indicators, spans A's null space, and sigma >=
+    ||A||. On M^{-1} the wanted eigenvalues are the largest, 1/(lambda -
+    ZERO_EIG_TOL), and E's directions the smallest, so ARPACK's implicitly
+    restarted Lanczos (scipy's eigsh) finds the wanted ones, orthogonal to
+    E, with no projection. Each product with M^{-1} is one dpotrs solve, and
+    the start vector is fixed, so two calls give the same bits.
 
-    Once the Lanczos estimate |beta_j s_j| of every wanted Ritz pair is
-    below _LANCZOS_RESIDUAL times its Ritz value theta, the Ritz vectors y
-    are formed and accepted only if every true residual ||A y - (y'Ay) y||
-    is at most _LANCZOS_RESIDUAL * norm, with norm an upper bound on ||A||
-    (2 * the largest degree of a Laplacian, by Gershgorin). Returns the
-    Rayleigh quotients y'Ay, smallest eigenvalue first, with the unit
-    vectors y as columns, or None when _LANCZOS_STEPS solves do not get
-    there. One start vector cannot see a second copy of an exactly repeated
-    eigenvalue, so such a wanted eigenvalue can be passed over for the next
-    one; the residual test cannot tell, and the eigensolver stays the
-    F-step's exact fallback.
+    ARPACK stops once every wanted Ritz pair's residual estimate is at most
+    _LANCZOS_RESIDUAL times its Ritz value; the vectors y are then accepted
+    only if every true residual ||A y - (y'Ay) y|| is at most
+    _LANCZOS_RESIDUAL * norm, with norm >= ||A|| (2 * the largest degree of
+    a Laplacian, by Gershgorin). Returns the Rayleigh quotients y'Ay,
+    smallest first, with the unit vectors y as columns, or None when ARPACK
+    fails or does not converge within _LANCZOS_RESTARTS restarts. One start
+    vector cannot see a second copy of an exactly repeated eigenvalue, so
+    such a wanted eigenvalue can be passed over for the next one; the
+    residual test cannot tell, and the eigensolver stays the F-step's exact
+    fallback.
     """
-    n, k = E.shape
-    basis = np.empty((k + _LANCZOS_STEPS, n))
-    basis[:k] = E.T
-    w = np.random.default_rng(0).standard_normal(n)
-    alphas: list[float] = []
-    betas: list[float] = []
-    for j in range(_LANCZOS_STEPS + 1):
-        # the rows are column-major as their transpose; on the newest Lanczos
-        # vector the coefficients of both passes add up to alpha
-        rows = basis[: k + j].T
-        first = dgemv(1.0, rows, w, trans=1)
-        w = dgemv(-1.0, rows, first, beta=1.0, y=w, overwrite_y=1)
-        second = dgemv(1.0, rows, w, trans=1)
-        w = dgemv(-1.0, rows, second, beta=1.0, y=w, overwrite_y=1)
-        beta = math.sqrt(ddot(w, w))
-        if j:
-            alphas.append(float(first[-1] + second[-1]))
-            if j >= count:
-                pairs = _ritz_pairs(A, basis[k : k + j], alphas, betas, beta, count, norm)
-                if pairs is not None:
-                    return pairs
-            betas.append(beta)
-        if j == _LANCZOS_STEPS or not beta > 0:
-            return None
-        np.divide(w, beta, out=basis[k + j])
-        w = dpotrs(factor, basis[k + j], lower=1)[0]
-
-
-def _ritz_pairs(
-    A: np.ndarray, lanczos: np.ndarray, alphas: list, betas: list, beta: float, count: int, norm: float
-) -> Optional[EigenSystem]:
-    """The Ritz pairs of the count largest eigenvalues of the Lanczos tridiagonal, if they pass.
-
-    lanczos holds the Lanczos vectors as rows, alphas and betas the
-    tridiagonal, and beta the norm of the next vector before it was
-    normalized; the tests are :func:`_shift_invert_lanczos`'s.
-    """
-    theta, S = eigh_tridiagonal(np.array(alphas), np.array(betas))
-    theta, S = theta[: -count - 1 : -1], S[:, : -count - 1 : -1]
-    if not np.all(theta > 0) or np.any(np.abs(beta * S[-1]) > _LANCZOS_RESIDUAL * theta):
+    n = A.shape[0]
+    solve = LinearOperator((n, n), matvec=lambda x: dpotrs(factor, x, lower=1)[0], dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    ncv = min(n, _LANCZOS_NCV + 2 * (count - 1))
+    try:
+        mu, Y = eigsh(solve, count, which="LA", v0=v0, ncv=ncv, maxiter=_LANCZOS_RESTARTS, tol=_LANCZOS_RESIDUAL)
+    except ArpackError:
         return None
-    Y = product(S.T, lanczos)
-    AY = product(A, Y, trans_b=True)
+    Y = Y[:, np.argsort(mu)[::-1]]
+    AY = product(A, Y)
     values = np.empty(count)
     for i in range(count):
-        values[i] = ddot(Y[i], AY[:, i])
-        residual = AY[:, i] - values[i] * Y[i]
+        values[i] = ddot(Y[:, i], AY[:, i])
+        residual = AY[:, i] - values[i] * Y[:, i]
         if math.sqrt(ddot(residual, residual)) > _LANCZOS_RESIDUAL * norm:
             return None
-    return EigenSystem(values, Y.T)
+    return EigenSystem(values, Y)

@@ -15,10 +15,10 @@ Each outer iteration alternates:
    the Laplacian's null space (the multiplicity fact CAN relies on), and one
    Cholesky factorization of a shifted copy of the Laplacian certifies that
    the (k+1)-th eigenvalue is not near zero. With k = c, F is the
-   indicators; with k < c and n >= LANCZOS_MIN_ORDER, shift-invert Lanczos
-   on that factor adds the c-k eigenvectors that follow. Otherwise, or
-   when either fails, one eigensolve gives the c bottom eigenvectors and
-   the c+1 smallest eigenvalues;
+   indicators; with k < c and n >= LANCZOS_MIN_ORDER, ARPACK's
+   shift-invert Lanczos on that factor adds the c-k eigenvectors that
+   follow. Otherwise, or when either fails, one eigensolve gives the c
+   bottom eigenvectors and the c+1 smallest eigenvalues;
 2. graph step (:func:`update_graph`): every column of Z gets the
    closed-form minimizer of the ridge-regularized quadratic,
    A^{-1} (alpha*K - (beta/2)*P) with A = K + 2*gamma*I and P the squared
@@ -55,13 +55,13 @@ through an iteration are A^{-1} and Z. Besides them the loop holds one
 transient of its own (the Laplacian, the unprojected graph or the ZZ'
 triangle) and at most one more array: the eigensolver's copy of the
 Laplacian (or the F-step's shifted copy that is factorized in place, which
-Lanczos then solves with beside a basis of k plus the step cap vectors of
-n), or the projected graph that becomes the next Z. So the traced peak is
-about 4 n^2 floats beyond the kernel or the bank alike. Scaled sums into an
-n x n array run in 64-row blocks (:func:`_add_scaled`), the old Z takes the
-step Z_new - Z, and each buffer is released as soon as it is dead: A and
-its Cholesky factor once dpotri has read the factor, and A^{-1} before the
-kernel step and before the labels are read.
+ARPACK then solves with beside the k indicators and its own 16 or more
+Lanczos vectors of n), or the projected graph that becomes the next Z. So
+the traced peak is about 4 n^2 floats beyond the kernel or the bank alike.
+Scaled sums into an n x n array run in 64-row blocks (:func:`_add_scaled`),
+the old Z takes the step Z_new - Z, and each buffer is released as soon as
+it is dead: A and its Cholesky factor once dpotri has read the factor, and
+A^{-1} before the kernel step and before the labels are read.
 """
 
 from __future__ import annotations
@@ -97,10 +97,12 @@ ZERO_EIG_TOL = 1e-8
 # fewer than c of them leave missing from shift-invert Lanczos from this
 # order up, and from the eigensolver below it. Summed over such graphs of SPC
 # and mSPC runs at the README settings (two moons rotated by data seed 1, 2
-# cores, best of 9), F-step against evr in ms, SPC then mSPC: n = 200 23/21
-# and 9/6, n = 300 37/46 and 19/16, n = 400 60/90 and 26/28, n = 500 75/125
-# and 48/74, n = 1000 413/705 and 313/518. 400 is the least order measured
-# where both gain; the warm-up runs at n = 100 lost by 2-5x
+# cores, best of 9), F-step against evr in ms, SPC then mSPC: n = 100 8/5
+# and 2/1, n = 200 24/26 and 7/7, n = 300 45/58 and 15/18, n = 400 81/110
+# and 30/34, n = 500 107/154 and 66/88, n = 1000 525/839 and 399/630. Both
+# gain from n = 300, but a lower order moves results there: rounding-level
+# changes grow at graphs with more than c components, whose evr basis is
+# arbitrary
 LANCZOS_MIN_ORDER = 400
 
 # adaptive beta stops after this many doublings/halvings
@@ -282,18 +284,19 @@ def update_embedding(L: np.ndarray, c: int) -> tuple[np.ndarray, int]:
     When the support of the graph (the off-diagonal nonzeros of L) has k <=
     c connected components, their normalized indicators E (column b is
     1_b / sqrt(n_b)) span L's null space. One Cholesky factorization of L -
-    ZERO_EIG_TOL*I + sigma*EE', in a copy of L (sigma is the largest
-    diagonal entry of L, at least 1, so the null directions are shifted well
-    clear), then certifies that lambda_{k+1} > ZERO_EIG_TOL, and the count is
-    k: the components are the zeros, whatever the graph's scale. With k = c,
-    F is E. With k < c and n >= LANCZOS_MIN_ORDER, shift-invert Lanczos on
-    that factor (:func:`spclust.numerics._shift_invert_lanczos`) finds the
-    c-k eigenvectors that follow, orthogonal to E, and F is E beside them.
-    Otherwise, and whenever the factorization or Lanczos fails (k > c, a
-    bridge so weak that lambda_{k+1} <= ZERO_EIG_TOL, no convergence within
-    the step cap), one symmetric_eigen call gives the c bottom eigenvectors,
-    and count is the number of the c+1 smallest eigenvalues below
-    ZERO_EIG_TOL.
+    ZERO_EIG_TOL*I + sigma*EE', in a copy of L, then certifies that
+    lambda_{k+1} > ZERO_EIG_TOL, and the count is k: the components are the
+    zeros, whatever the graph's scale. sigma is twice the largest diagonal
+    entry of L (at least 1), an upper bound on ||L|| by Gershgorin, so the
+    null directions are shifted above the whole spectrum. With k = c, F is
+    E. With k < c and n >= LANCZOS_MIN_ORDER, ARPACK's Lanczos on the
+    inverse of that factor (:func:`spclust.numerics._shift_invert_lanczos`)
+    finds the c-k eigenvectors that follow, orthogonal to E, and F is E
+    beside them. Otherwise, and whenever the factorization or Lanczos fails
+    (k > c, a bridge so weak that lambda_{k+1} <= ZERO_EIG_TOL, no
+    convergence within the restart cap), one symmetric_eigen call gives the
+    c bottom eigenvectors, and count is the number of the c+1 smallest
+    eigenvalues below ZERO_EIG_TOL.
     """
     n = L.shape[0]
     if c > n:
@@ -303,14 +306,14 @@ def update_embedding(L: np.ndarray, c: int) -> tuple[np.ndarray, int]:
         sizes = np.bincount(labels, minlength=count)
         E = np.zeros((n, count))
         E[np.arange(n), labels] = 1.0 / np.sqrt(sizes)[labels]
-        degree = float(L.diagonal().max())
+        norm = 2.0 * float(L.diagonal().max())
         factor = L.copy()
         factor.flat[:: n + 1] -= ZERO_EIG_TOL
-        factor = _shifted_factor(factor, E, max(1.0, degree))
+        factor = _shifted_factor(factor, E, max(1.0, norm))
         if factor is not None:
             if count == c:
                 return E, c
-            pairs = _shift_invert_lanczos(L, factor, E, c - count, 2.0 * degree)
+            pairs = _shift_invert_lanczos(L, factor, c - count, norm)
             if pairs is not None:
                 return np.hstack([E, pairs.vectors]), count
         del factor  # freed before the eigensolver makes its own copy of L

@@ -375,7 +375,9 @@ def test_solver_calls_match_the_benchmark_attribution(monkeypatch):
     runs.append((mspc_trace, counts, factored, lanczos))
     for trace, calls, factored, lanczos in runs:
         read_offs = sum(factored) - len(lanczos)
-        assert calls["symmetric_eigen"] and read_offs and sum(lanczos)
+        # no F-step of these runs, the random initial graph's included, falls
+        # back to the eigensolver
+        assert calls["symmetric_eigen"] == 0 and read_offs and sum(lanczos)
         assert calls["symmetric_eigen"] + read_offs + sum(lanczos) == trace.iterations
 
 

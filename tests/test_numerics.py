@@ -175,7 +175,7 @@ NUMPY_BLAS = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
 
 # the functions the alternating loop runs, by the module that exports them
 LOOP_FUNCTIONS = {
-    spclust.numerics: ("_weighted_sum", "_shifted_factor", "_shift_invert_lanczos", "_ritz_pairs", "spd_inverse"),
+    spclust.numerics: ("_weighted_sum", "_shifted_factor", "_shift_invert_lanczos", "spd_inverse"),
     spclust.spc: (
         "alternate",
         "update_graph",

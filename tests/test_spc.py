@@ -273,10 +273,12 @@ def test_embedding_by_lanczos_falls_back_to_the_eigensolver(monkeypatch):
     L = sp.build_laplacian(bridged_blocks(rng, n, 2, 1, 1e-12))
     F, count = sp.update_embedding(L, 2)
     assert eigensolves == [4, 3] and factorized == [False] and not runs and count == 2
-    # the solver's near-complete initial graph (lambda_2/lambda_3 about 0.99)
-    # takes Lanczos to its step cap
+    # the solver's near-complete initial graph (lambda_2/lambda_3 about
+    # 0.999) needs several restarts, so with a cap of one ARPACK gives up
     L = sp.build_laplacian(init_graph(n, 0))
-    F, count = sp.update_embedding(L, 2)
+    with monkeypatch.context() as patch:
+        patch.setattr(sp.numerics, "_LANCZOS_RESTARTS", 1)
+        F, count = sp.update_embedding(L, 2)
     assert eigensolves == [4, 3, 3] and factorized == [False, True] and runs == [None] and count == 1
     assert np.array_equal(F, symmetric_eigen(L, 3).vectors[:, :2])
     # below LANCZOS_MIN_ORDER a graph with fewer than c components goes
@@ -284,6 +286,69 @@ def test_embedding_by_lanczos_falls_back_to_the_eigensolver(monkeypatch):
     L = sp.build_laplacian(bridged_blocks(rng, n - 1, 3, 1, 1e-2))
     F, count = sp.update_embedding(L, 3)
     assert eigensolves == [4, 3, 3, 4] and len(factorized) == 2 and len(runs) == 1 and count == 1
+    # ARPACK's own estimates pass at 1e-17, but no true residual of a
+    # computed vector gets that far below rounding, so the vectors are refused
+    converged = []
+    eigsh = sp.numerics.eigsh
+
+    def recording_eigsh(*args, **kwargs):
+        result = eigsh(*args, **kwargs)
+        converged.append(True)
+        return result
+
+    L = sp.build_laplacian(bridged_blocks(rng, n, 3, 1, 1e-2))
+    with monkeypatch.context() as patch:
+        patch.setattr(sp.numerics, "eigsh", recording_eigsh)
+        patch.setattr(sp.numerics, "_LANCZOS_RESIDUAL", 1e-17)
+        F, count = sp.update_embedding(L, 3)
+    assert converged == [True] and runs == [None, None] and count == 1
+    assert eigensolves == [4, 3, 3, 4, 4] and factorized == [False, True, True]
+    assert np.array_equal(F, symmetric_eigen(L, 4).vectors[:, :3])
+
+
+def test_embedding_by_lanczos_solves_the_initial_graph(monkeypatch):
+    # the solver's random initial graph has lambda_2/lambda_3 of 0.997-0.999;
+    # ARPACK's restarts get there with no eigensolve
+    eigensolves = record_eigensolves(monkeypatch)
+    runs = record_lanczos(monkeypatch)
+    for n in (LANCZOS_MIN_ORDER, 1000):
+        L = sp.build_laplacian(init_graph(n, 0))
+        F, count = sp.update_embedding(L, 2)
+        assert not eigensolves and runs[-1] is not None and count == 1
+        assert_spans_the_eigensolvers_subspace(L, 2, F, count)
+        again, again_count = sp.update_embedding(L, 2)
+        assert again.tobytes() == F.tobytes() and again_count == count
+
+
+def test_embedding_by_lanczos_finds_many_eigenvectors(monkeypatch):
+    # c - k = 8 and 11 wanted eigenvectors on a connected graph: the Krylov
+    # dimension grows with their number
+    rng = np.random.default_rng(15)
+    n = LANCZOS_MIN_ORDER
+    eigensolves = record_eigensolves(monkeypatch)
+    runs = record_lanczos(monkeypatch)
+    L = sp.build_laplacian(rng.random((n, n)) * (rng.random((n, n)) < 0.02))
+    for c in (9, 12):
+        F, count = sp.update_embedding(L, c)
+        assert not eigensolves and runs[-1] is not None and runs[-1].vectors.shape == (n, c - 1)
+        assert_spans_the_eigensolvers_subspace(L, c, F, count)
+
+
+def test_embedding_by_lanczos_passes_over_the_components_of_a_near_complete_graph(monkeypatch):
+    # two complete blocks joined by slightly lighter edges: lambda_2 = n - 1
+    # lies above every degree (n - 1.5), so the components' directions would
+    # come first in the shifted inverse unless the shift on them exceeds ||L||
+    n = LANCZOS_MIN_ORDER
+    Z = np.full((n, n), 1.0 - 1.0 / n)
+    Z[: n // 2, : n // 2] = Z[n // 2 :, n // 2 :] = 1.0
+    np.fill_diagonal(Z, 0.0)
+    perm = np.random.default_rng(18).permutation(n)
+    L = sp.build_laplacian(Z[np.ix_(perm, perm)])
+    assert symmetric_eigen(L, 2).values[1] > L.diagonal().max()
+    eigensolves = record_eigensolves(monkeypatch)
+    F, count = sp.update_embedding(L, 2)
+    assert not eigensolves and count == 1
+    assert_spans_the_eigensolvers_subspace(L, 2, F, count)
 
 
 def test_embedding_by_lanczos_counts_the_components_at_any_scale(monkeypatch):
@@ -687,9 +752,9 @@ def test_loop_memory_budget(solver):
     # an mSPC loop that kept its combined kernel read 5.24, one that also
     # kept the Cholesky factor and A^{-1}K read 5.26 and 6.24, and one that
     # kept stale bindings and built its sums in whole-matrix temporaries
-    # read 8.03 and 9.03. At LANCZOS_MIN_ORDER iterations 1-4 run Lanczos,
-    # whose basis is (components + step cap) vectors of n, and the peak
-    # reads 4.18 for both
+    # read 8.03 and 9.03. At LANCZOS_MIN_ORDER iterations 0-4 run ARPACK's
+    # Lanczos on 16 vectors of n beside the components, and the peak reads
+    # 4.17 for both
     for n in (300, LANCZOS_MIN_ORDER):
         X = sp.generate_two_moons(n, noise_sigma=0.08, seed=0)
         if solver == "spc":
