@@ -18,9 +18,9 @@ has two private helpers: :func:`_shifted_factor` (a rank update and a
 Cholesky factorization in the caller's buffer, whose success certifies that
 a graph's components give its whole null space) and
 :func:`_shift_invert_lanczos`, which finds the next eigenvectors by
-scipy's ARPACK (``eigsh``) with ``dpotrs`` solves on that factor and checks
-them with :func:`product` and ``ddot``; ARPACK links the same OpenBLAS as
-``scipy.linalg``. numpy's
+scipy's ARPACK (``eigsh``) with two triangular ``dtrsv`` solves on that
+factor per product and checks them with :func:`product` and ``ddot``; ARPACK
+links the same OpenBLAS as ``scipy.linalg``. numpy's
 ``@``, ``np.dot`` and ``np.linalg`` are kept out of the solver modules, the
 loop and :func:`spclust.spc.objective` alike. numpy and scipy each load
 their own OpenBLAS, and after a numpy BLAS call numpy's worker thread keeps
@@ -41,8 +41,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.linalg.blas import daxpy, ddot, dgemm, dsyrk
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
+from scipy.linalg.blas import daxpy, ddot, dgemm, dsyrk, dtrsv
+from scipy.linalg.lapack import dpotrf, dpotri
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 # rows of an n x n update done at a time (spd_inverse's mirror, the graph
@@ -64,8 +64,8 @@ _LANCZOS_NCV = 16
 # graph needs 9 at n = 400 and 8 at n = 1000. The two mSPC runs (n = 600 and
 # 800) that swing between 1 and 2 components for 300 iterations mostly have
 # lambda_3 - lambda_2 at 1e-11 to 2e-9 of ||A||, not resolved in 300
-# restarts; such a graph spends 113 solves, about 40 ms at n = 600 on 2
-# cores, before evr's 12-18 ms.
+# restarts; such a graph spends 113 solves, and its F-step takes 25-27 ms at
+# n = 600 on 2 cores, evr's 11 ms included (43-47 ms with dpotrs solves).
 _LANCZOS_RESTARTS = 12
 # a Ritz pair passes at an ARPACK estimate of at most this times its Ritz
 # value and a true residual of at most this times ||A||. On the 33 connected
@@ -260,8 +260,11 @@ def _shift_invert_lanczos(A: np.ndarray, factor: np.ndarray, count: int, norm: f
     ||A||. On M^{-1} the wanted eigenvalues are the largest, 1/(lambda -
     ZERO_EIG_TOL), and E's directions the smallest, so ARPACK's implicitly
     restarted Lanczos (scipy's eigsh) finds the wanted ones, orthogonal to
-    E, with no projection. Each product with M^{-1} is one dpotrs solve, and
-    the start vector is fixed, so two calls give the same bits.
+    E, with no projection. Each product with M^{-1} is two BLAS-2 dtrsv
+    solves, with the factor and then its transpose: LAPACK's dpotrs does the
+    same two solves through the level-3 dtrsm, which OpenBLAS runs about
+    twice as slowly for one right-hand side. The start vector is fixed, so
+    two calls give the same bits.
 
     ARPACK stops once every wanted Ritz pair's residual estimate is at most
     _LANCZOS_RESIDUAL times its Ritz value; the vectors y are then accepted
@@ -276,7 +279,9 @@ def _shift_invert_lanczos(A: np.ndarray, factor: np.ndarray, count: int, norm: f
     fallback.
     """
     n = A.shape[0]
-    solve = LinearOperator((n, n), matvec=lambda x: dpotrs(factor, x, lower=1)[0], dtype=float)
+    solve = LinearOperator(
+        (n, n), matvec=lambda x: dtrsv(factor, dtrsv(factor, x, lower=1), lower=1, trans=1, overwrite_x=1), dtype=float
+    )
     v0 = np.random.default_rng(0).standard_normal(n)
     ncv = min(n, _LANCZOS_NCV + 2 * (count - 1))
     try:

@@ -15,10 +15,11 @@ Each outer iteration alternates:
    the Laplacian's null space (the multiplicity fact CAN relies on), and one
    Cholesky factorization of a shifted copy of the Laplacian certifies that
    the (k+1)-th eigenvalue is not near zero. With k = c, F is the
-   indicators; with k < c and n >= LANCZOS_MIN_ORDER, ARPACK's
-   shift-invert Lanczos on that factor adds the c-k eigenvectors that
-   follow. Otherwise, or when either fails, one eigensolve gives the c
-   bottom eigenvectors and the c+1 smallest eigenvalues;
+   indicators; with k < c, n >= LANCZOS_MIN_ORDER and c-k at most
+   _LANCZOS_MAX_WANTED, ARPACK's shift-invert Lanczos on that factor adds
+   the c-k eigenvectors that follow. Otherwise, or when either fails, one
+   eigensolve gives the c bottom eigenvectors and the c+1 smallest
+   eigenvalues;
 2. graph step (:func:`update_graph`): every column of Z gets the
    closed-form minimizer of the ridge-regularized quadratic,
    A^{-1} (alpha*K - (beta/2)*P) with A = K + 2*gamma*I and P the squared
@@ -97,13 +98,24 @@ ZERO_EIG_TOL = 1e-8
 # fewer than c of them leave missing from shift-invert Lanczos from this
 # order up, and from the eigensolver below it. Summed over such graphs of SPC
 # and mSPC runs at the README settings (two moons rotated by data seed 1, 2
-# cores, best of 9), F-step against evr in ms, SPC then mSPC: n = 100 8/5
-# and 2/1, n = 200 24/26 and 7/7, n = 300 45/58 and 15/18, n = 400 81/110
-# and 30/34, n = 500 107/154 and 66/88, n = 1000 525/839 and 399/630. Both
-# gain from n = 300, but a lower order moves results there: rounding-level
+# cores, best of 9), F-step against evr in ms, SPC then mSPC: n = 100 9/5
+# and 2/1, n = 200 22/27 and 7/8, n = 300 38/61 and 14/19, n = 400 57/111
+# and 23/33, n = 500 64/154 and 43/84, n = 1000 390/926 and 287/618. Both
+# gain from n = 200, but a lower order moves results there: rounding-level
 # changes grow at graphs with more than c components, whose evr basis is
 # arbitrary
 LANCZOS_MIN_ORDER = 400
+
+# the F-step's Lanczos finds at most this many eigenvectors beyond the
+# components, and the eigensolver takes any more: ARPACK's Krylov dimension
+# and restarts grow with their number. On the connected graph of density
+# 0.02 in the tests (2 cores, median of 15, F-step against evr in ms),
+# c-k = 4 read 5.4/6.0 at n = 400, 9.8/14.9 at n = 600 and 38/44 at
+# n = 1000, c-k = 5 5.9/6.5, 13.7/15.6 and 49/47 (74 -> 108 solves at
+# n = 1000), c-k = 8 6.5/7.1 at n = 400 and 49/45 at n = 1000, c-k = 10
+# 8.8/7.4 and 67/53, c-k = 16 11/8 and 94/53. At n = 700 and 800 evr wins
+# from c-k = 2 (23/21 and 35/27)
+_LANCZOS_MAX_WANTED = 4
 
 # adaptive beta stops after this many doublings/halvings
 MAX_BETA_ADJUSTMENTS = 30
@@ -289,10 +301,11 @@ def update_embedding(L: np.ndarray, c: int) -> tuple[np.ndarray, int]:
     zeros, whatever the graph's scale. sigma is twice the largest diagonal
     entry of L (at least 1), an upper bound on ||L|| by Gershgorin, so the
     null directions are shifted above the whole spectrum. With k = c, F is
-    E. With k < c and n >= LANCZOS_MIN_ORDER, ARPACK's Lanczos on the
-    inverse of that factor (:func:`spclust.numerics._shift_invert_lanczos`)
-    finds the c-k eigenvectors that follow, orthogonal to E, and F is E
-    beside them. Otherwise, and whenever the factorization or Lanczos fails
+    E. With k < c, n >= LANCZOS_MIN_ORDER and c-k at most
+    _LANCZOS_MAX_WANTED, ARPACK's Lanczos on the inverse of that factor
+    (:func:`spclust.numerics._shift_invert_lanczos`) finds the c-k
+    eigenvectors that follow, orthogonal to E, and F is E beside them.
+    Otherwise, and whenever the factorization or Lanczos fails
     (k > c, a bridge so weak that lambda_{k+1} <= ZERO_EIG_TOL, no
     convergence within the restart cap), one symmetric_eigen call gives the
     c bottom eigenvectors, and count is the number of the c+1 smallest
@@ -302,7 +315,7 @@ def update_embedding(L: np.ndarray, c: int) -> tuple[np.ndarray, int]:
     if c > n:
         raise ValueError(f"cannot take {c} eigenvectors from an order-{n} matrix")
     labels, count = _components(L != 0)
-    if count == c or (count < c and n >= LANCZOS_MIN_ORDER):
+    if count == c or (count < c and n >= LANCZOS_MIN_ORDER and c - count <= _LANCZOS_MAX_WANTED):
         sizes = np.bincount(labels, minlength=count)
         E = np.zeros((n, count))
         E[np.arange(n), labels] = 1.0 / np.sqrt(sizes)[labels]
@@ -574,10 +587,12 @@ def kernel_costs(bank: list[KernelMatrix], Z: np.ndarray, alpha: float) -> np.nd
 def _spectral(Z: np.ndarray, F: np.ndarray, s: np.ndarray) -> float:
     """tr(F'LF) for the Laplacian L of Z's symmetrization, with s = rowsum(F * F).
 
-    It equals 0.5*<Z, P> for the squared distances P = s1' + 1s' - 2FF'.
+    It equals 0.5*<Z, P> for the squared distances P = s1' + 1s' - 2FF',
+    that is 0.5*(1'Zs + s'Z1) - <ZF, F>. One n x (c+2) product Z [s, 1, F]
+    gives Zs, Z1 and ZF, so Z is read once.
     """
-    sums = Z.sum(axis=0) + Z.sum(axis=1)
-    return 0.5 * float(np.sum(s * sums)) - _inner(product(Z, F), F)
+    ZG = product(Z, np.column_stack([s, np.ones_like(s), F]))
+    return 0.5 * (float(np.sum(ZG[:, 0])) + float(ddot(s, ZG[:, 1]))) - _inner(ZG[:, 2:], F)
 
 
 def _add_scaled(out: np.ndarray, a: np.ndarray, scale: float) -> None:

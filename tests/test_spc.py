@@ -249,6 +249,17 @@ def test_embedding_by_lanczos_matches_the_eigensolver(monkeypatch):
     assert len(runs) == 2 * len(cases)
 
 
+def test_embedding_by_lanczos_solves_by_two_triangular_solves(monkeypatch):
+    # each product with the shifted inverse is two BLAS-2 dtrsv solves on the
+    # factor; LAPACK's dpotrs, which runs them through the level-3 dtrsm, is
+    # never called, and the graphs above still reach the eigensolver's result
+    def refused(*args, **kwargs):
+        raise AssertionError("dpotrs was called")
+
+    monkeypatch.setattr(sp.numerics, "dpotrs", refused, raising=False)
+    test_embedding_by_lanczos_matches_the_eigensolver(monkeypatch)
+
+
 def test_embedding_by_lanczos_falls_back_to_the_eigensolver(monkeypatch):
     rng = np.random.default_rng(16)
     n = LANCZOS_MIN_ORDER
@@ -321,17 +332,31 @@ def test_embedding_by_lanczos_solves_the_initial_graph(monkeypatch):
 
 
 def test_embedding_by_lanczos_finds_many_eigenvectors(monkeypatch):
-    # c - k = 8 and 11 wanted eigenvectors on a connected graph: the Krylov
-    # dimension grows with their number
+    # c - k = 2 and _LANCZOS_MAX_WANTED wanted eigenvectors on a connected
+    # graph: the Krylov dimension grows with their number
     rng = np.random.default_rng(15)
     n = LANCZOS_MIN_ORDER
     eigensolves = record_eigensolves(monkeypatch)
     runs = record_lanczos(monkeypatch)
     L = sp.build_laplacian(rng.random((n, n)) * (rng.random((n, n)) < 0.02))
-    for c in (9, 12):
+    for c in (3, spc_module._LANCZOS_MAX_WANTED + 1):
         F, count = sp.update_embedding(L, c)
         assert not eigensolves and runs[-1] is not None and runs[-1].vectors.shape == (n, c - 1)
         assert_spans_the_eigensolvers_subspace(L, c, F, count)
+
+
+def test_embedding_sends_many_wanted_eigenvectors_to_the_eigensolver(monkeypatch):
+    # past _LANCZOS_MAX_WANTED eigenvectors beyond the components one
+    # eigensolve is faster than Lanczos, so it runs alone
+    rng = np.random.default_rng(15)
+    n = LANCZOS_MIN_ORDER
+    eigensolves = record_eigensolves(monkeypatch)
+    runs = record_lanczos(monkeypatch)
+    L = sp.build_laplacian(rng.random((n, n)) * (rng.random((n, n)) < 0.02))
+    c = spc_module._LANCZOS_MAX_WANTED + 2
+    F, count = sp.update_embedding(L, c)
+    assert eigensolves == [c + 1] and not runs and count == 1
+    assert_spans_the_eigensolvers_subspace(L, c, F, count)
 
 
 def test_embedding_by_lanczos_passes_over_the_components_of_a_near_complete_graph(monkeypatch):
@@ -494,6 +519,19 @@ def test_objective_matches_termwise_recomputation():
         + cfg.gamma * np.sum(Z * Z)
     )
     assert sp.objective(K, Z, F, cfg) == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("c", [2, 3, 5])
+def test_spectral_term_matches_the_laplacian_form(c):
+    # the loop's spectral term, from one product of Z with [s, 1, F], is the
+    # tr(F'LF) that objective forms, on a non-symmetric Z with exact zeros
+    rng = np.random.default_rng(19)
+    n = 60
+    Z = rng.random((n, n)) * (rng.random((n, n)) < 0.3)
+    F = np.linalg.qr(rng.standard_normal((n, c)))[0]
+    s = np.sum(F * F, axis=1)
+    expect = np.sum(product(sp.build_laplacian(Z), F) * F)
+    assert spc_module._spectral(Z, F, s) == pytest.approx(expect, rel=1e-12)
 
 
 # --- component labeling -----------------------------------------------------------
