@@ -254,11 +254,12 @@ def _shifted_factor(A: np.ndarray, F: np.ndarray, scale: float) -> Optional[np.n
 def _shift_invert_lanczos(A: np.ndarray, factor: np.ndarray, count: int, norm: float) -> Optional[EigenSystem]:
     """The count smallest eigenpairs of the symmetric A off a shifted null space, or None.
 
-    factor is the lower Cholesky factor of the F-step's M = A -
-    ZERO_EIG_TOL*I + sigma*EE', certified by :func:`_shifted_factor`: E, the
-    normalized component indicators, spans A's null space, and sigma >=
-    ||A||. On M^{-1} the wanted eigenvalues are the largest, 1/(lambda -
-    ZERO_EIG_TOL), and E's directions the smallest, so ARPACK's implicitly
+    factor is the lower Cholesky factor of the F-step's M = A - tol*I +
+    sigma*EE', certified by :func:`_shifted_factor`: E, the normalized
+    component indicators, spans A's null space, tol is ZERO_EIG_TOL times
+    the largest degree, so the shift is relative to the graph's scale, and
+    sigma >= ||A||. On M^{-1} the wanted eigenvalues are the largest,
+    1/(lambda - tol), and E's directions the smallest, so ARPACK's implicitly
     restarted Lanczos (scipy's eigsh) finds the wanted ones, orthogonal to
     E, with no projection. Each product with M^{-1} is two BLAS-2 dtrsv
     solves, with the factor and then its transpose: LAPACK's dpotrs does the

@@ -10,16 +10,16 @@ Each outer iteration alternates:
 
 1. embedding step (:func:`update_embedding`): F <- an orthonormal basis of
    the bottom c-dimensional eigenspace of the Laplacian of Z, with the
-   number of near-zero eigenvalues that the beta anneal reads. When the
-   graph has k <= c connected components, their normalized indicators span
-   the Laplacian's null space (the multiplicity fact CAN relies on), and one
-   Cholesky factorization of a shifted copy of the Laplacian certifies that
-   the (k+1)-th eigenvalue is not near zero. With k = c, F is the
-   indicators; with k < c, n >= LANCZOS_MIN_ORDER and c-k at most
-   _LANCZOS_MAX_WANTED, ARPACK's shift-invert Lanczos on that factor adds
-   the c-k eigenvectors that follow. Otherwise, or when either fails, one
-   eigensolve gives the c bottom eigenvectors and the c+1 smallest
-   eigenvalues;
+   number of near-zero eigenvalues that the beta anneal reads. The
+   normalized indicators of the graph's k connected components span the
+   Laplacian's null space (the multiplicity fact CAN relies on). With k >
+   c, F is those of the c-1 largest and of the union of the rest. With k
+   <= c, one Cholesky factorization of a shifted copy of the Laplacian
+   certifies that the (k+1)-th eigenvalue is not near zero; F is the
+   indicators at k = c, and at c-k <= _LANCZOS_MAX_WANTED ARPACK's
+   shift-invert Lanczos on that factor adds the c-k eigenvectors that
+   follow. Otherwise, or when either fails, one eigensolve gives the c
+   bottom eigenvectors and the c+1 smallest eigenvalues;
 2. graph step (:func:`update_graph`): every column of Z gets the
    closed-form minimizer of the ridge-regularized quadratic,
    A^{-1} (alpha*K - (beta/2)*P) with A = K + 2*gamma*I and P the squared
@@ -91,20 +91,9 @@ from .numerics import (
     symmetric_eigen,
 )
 
-# eigenvalues below this count as zero when checking component structure
+# Laplacian eigenvalues below this times the largest degree count as zero,
+# and graph entries below this times the largest one as no edge
 ZERO_EIG_TOL = 1e-8
-
-# the F-step takes the eigenvectors that the components of a graph with
-# fewer than c of them leave missing from shift-invert Lanczos from this
-# order up, and from the eigensolver below it. Summed over such graphs of SPC
-# and mSPC runs at the README settings (two moons rotated by data seed 1, 2
-# cores, best of 9), F-step against evr in ms, SPC then mSPC: n = 100 9/5
-# and 2/1, n = 200 22/27 and 7/8, n = 300 38/61 and 14/19, n = 400 57/111
-# and 23/33, n = 500 64/154 and 43/84, n = 1000 390/926 and 287/618. Both
-# gain from n = 200, but a lower order moves results there: rounding-level
-# changes grow at graphs with more than c components, whose evr basis is
-# arbitrary
-LANCZOS_MIN_ORDER = 400
 
 # the F-step's Lanczos finds at most this many eigenvectors beyond the
 # components, and the eigensolver takes any more: ARPACK's Krylov dimension
@@ -238,10 +227,10 @@ class SpcTrace:
     graph Z_u (tr P = 0), with tr(K) = sum_i w_i tr(K^i), so no series
     reads a combined kernel's values.
     ``near_zero_eigs`` is the count of near-zero Laplacian eigenvalues among
-    the c+1 smallest that :func:`update_embedding` returns, so it is at most
-    c+1: the number k <= c of the graph's components when a Cholesky
-    factorization certified them, else the number of eigenvalues below
-    ZERO_EIG_TOL.
+    the c+1 smallest that :func:`update_embedding` returns: the number of
+    the graph's components capped at c+1, except at the eigensolver
+    fallback, where it is the number of eigenvalues below ZERO_EIG_TOL
+    times the largest degree.
     ``wall_time`` holds the seconds each iteration took; for mSPC that
     includes summing the bank into A and the weight update.
     Every series is in the run report, checked against these annotations,
@@ -289,40 +278,49 @@ def build_laplacian(Z: np.ndarray) -> np.ndarray:
 def update_embedding(L: np.ndarray, c: int) -> tuple[np.ndarray, int]:
     """The F-step: an orthonormal basis F of L's bottom c-dimensional eigenspace.
 
-    Returns (F, count), with count the number of near-zero eigenvalues among
-    the c+1 smallest (among all n when c = n), so the caller can tell
-    whether the graph has fewer, exactly or more than c components.
+    Returns (F, count), with count the number of near-zero eigenvalues
+    (below tol = ZERO_EIG_TOL times the largest degree) among the c+1
+    smallest (among all n when c = n), so the caller can tell whether the
+    graph has fewer, exactly or more than c components.
 
-    When the support of the graph (the off-diagonal nonzeros of L) has k <=
-    c connected components, their normalized indicators E (column b is
-    1_b / sqrt(n_b)) span L's null space. One Cholesky factorization of L -
-    ZERO_EIG_TOL*I + sigma*EE', in a copy of L, then certifies that
-    lambda_{k+1} > ZERO_EIG_TOL, and the count is k: the components are the
-    zeros, whatever the graph's scale. sigma is twice the largest diagonal
-    entry of L (at least 1), an upper bound on ||L|| by Gershgorin, so the
-    null directions are shifted above the whole spectrum. With k = c, F is
-    E. With k < c, n >= LANCZOS_MIN_ORDER and c-k at most
-    _LANCZOS_MAX_WANTED, ARPACK's Lanczos on the inverse of that factor
-    (:func:`spclust.numerics._shift_invert_lanczos`) finds the c-k
-    eigenvectors that follow, orthogonal to E, and F is E beside them.
-    Otherwise, and whenever the factorization or Lanczos fails
-    (k > c, a bridge so weak that lambda_{k+1} <= ZERO_EIG_TOL, no
-    convergence within the restart cap), one symmetric_eigen call gives the
-    c bottom eigenvectors, and count is the number of the c+1 smallest
-    eigenvalues below ZERO_EIG_TOL.
+    The support of the graph (the off-diagonal nonzeros of L) has k
+    connected components, and their normalized indicators (column b is
+    1_b / sqrt(n_b)) span L's null space. With k > c, F is the indicators of
+    the c-1 largest components (ties to the first sample) beside that of the
+    union of the rest, and count is c+1, with no factorization. With k <= c,
+    one Cholesky factorization of L - tol*I + sigma*EE', in a copy of L,
+    with E the k indicators, certifies that lambda_{k+1} > tol, and the
+    count is k. sigma is twice the largest degree (1 for a graph with no
+    edge), an upper bound on ||L|| by Gershgorin, so the null directions are
+    shifted above the whole spectrum at any scale. With k = c, F is E. With
+    k < c and c-k at most _LANCZOS_MAX_WANTED, ARPACK's Lanczos on the
+    inverse of that factor (:func:`spclust.numerics._shift_invert_lanczos`)
+    finds the c-k eigenvectors that follow, orthogonal to E, and F is E
+    beside them. When c-k is larger, or the factorization or Lanczos fails
+    (a bridge so weak that lambda_{k+1} <= tol, no convergence within the
+    restart cap), one symmetric_eigen call gives the c bottom eigenvectors,
+    and count is the number of the c+1 smallest eigenvalues below tol.
     """
     n = L.shape[0]
     if c > n:
         raise ValueError(f"cannot take {c} eigenvectors from an order-{n} matrix")
     labels, count = _components(L != 0)
-    if count == c or (count < c and n >= LANCZOS_MIN_ORDER and c - count <= _LANCZOS_MAX_WANTED):
-        sizes = np.bincount(labels, minlength=count)
-        E = np.zeros((n, count))
-        E[np.arange(n), labels] = 1.0 / np.sqrt(sizes)[labels]
-        norm = 2.0 * float(L.diagonal().max())
+    if count > c:
+        # the c-1 largest components keep their own columns, the rest share the last
+        rank = np.empty(count, dtype=np.intp)
+        rank[np.argsort(-np.bincount(labels), kind="stable")] = np.arange(count)
+        labels = np.minimum(rank[labels], c - 1)
+    sizes = np.bincount(labels)
+    E = np.zeros((n, len(sizes)))
+    E[np.arange(n), labels] = 1.0 / np.sqrt(sizes)[labels]
+    if count > c:
+        return E, c + 1
+    degree = float(L.diagonal().max())
+    tol, norm = ZERO_EIG_TOL * degree, 2.0 * degree
+    if c - count <= _LANCZOS_MAX_WANTED:
         factor = L.copy()
-        factor.flat[:: n + 1] -= ZERO_EIG_TOL
-        factor = _shifted_factor(factor, E, max(1.0, norm))
+        factor.flat[:: n + 1] -= tol
+        factor = _shifted_factor(factor, E, norm or 1.0)
         if factor is not None:
             if count == c:
                 return E, c
@@ -331,7 +329,7 @@ def update_embedding(L: np.ndarray, c: int) -> tuple[np.ndarray, int]:
                 return np.hstack([E, pairs.vectors]), count
         del factor  # freed before the eigensolver makes its own copy of L
     eig = symmetric_eigen(L, c + 1)
-    return eig.vectors[:, :c], int(np.count_nonzero(eig.values < ZERO_EIG_TOL))
+    return eig.vectors[:, :c], int(np.count_nonzero(eig.values < tol))
 
 
 def _components(adjacency: np.ndarray) -> tuple[np.ndarray, int]:

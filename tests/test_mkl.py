@@ -361,7 +361,7 @@ def test_solver_calls_match_the_benchmark_attribution(monkeypatch):
                 for fn, wrapper in wrappers:
                     if value is fn:
                         monkeypatch.setattr(module, attr, wrapper)
-    X = sp.generate_two_moons(spc_module.LANCZOS_MIN_ORDER, noise_sigma=0.08, seed=0)
+    X = sp.generate_two_moons(400, noise_sigma=0.08, seed=0)
     cfg = sp.SpcConfig(alpha=4.0, beta=0.125, gamma=1.0, clusters=2, adapt_beta=True, seed=0)
     spc_trace = sp.run_spc(sp.normalize_kernel(sp.gaussian_kernel(X, 0.01)), cfg).trace
     assert counts["spd_factorize"] == 1
@@ -466,3 +466,22 @@ def test_mspc_deterministic():
     assert np.array_equal(r1.labels, r2.labels)
     assert np.array_equal(s1.weights, s2.weights)
     assert r1.trace.objective == r2.trace.objective
+
+
+def test_mspc_reads_f_off_more_than_c_components(monkeypatch):
+    # at the bank settings on moons n = 300 with data seeds 1 and 2, the
+    # learned graph splits into three components at iteration 6; F is then
+    # the indicators of the largest one and of the union of the other two,
+    # so no F-step of the run calls the eigensolver, and the runs end at
+    # these cluster sizes
+    def refused(*args, **kwargs):
+        raise AssertionError("the F-step called the eigensolver")
+
+    monkeypatch.setattr(spc_module, "symmetric_eigen", refused)
+    cfg = sp.SpcConfig(alpha=1.0, beta=0.5, gamma=3.0, clusters=2, adapt_beta=True, max_iters=300)
+    for seed, sizes, iterations in ((1, [195, 105], 14), (2, [182, 118], 13)):
+        X = sp.generate_two_moons(300, noise_sigma=0.08, seed=seed)
+        result, _ = run_mspc(sp.build_standard_bank(X), cfg)
+        assert 3 in result.trace.near_zero_eigs
+        assert result.trace.iterations == iterations and result.converged
+        assert sorted(np.bincount(result.labels), reverse=True) == sizes

@@ -7,7 +7,7 @@ import pytest
 import spclust as sp
 import spclust.spc as spc_module
 from spclust.numerics import gram_upper, product, symmetric_eigen
-from spclust.spc import LANCZOS_MIN_ORDER, ZERO_EIG_TOL, init_graph
+from spclust.spc import ZERO_EIG_TOL, init_graph
 
 PATH3_LAPLACIAN = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
 
@@ -135,8 +135,8 @@ def record_eigensolves(monkeypatch):
 
 
 def test_embedding_counts_the_near_zero_eigenvalues():
-    # the count is the number of eigenvalues below ZERO_EIG_TOL among the
-    # c+1 smallest, whether it is read off c components or off the eigensolver
+    # the count is the number of eigenvalues below ZERO_EIG_TOL * the
+    # largest degree among the c+1 smallest, whichever way it is found
     rng = np.random.default_rng(11)
     graphs = [rng.random((15, 15))] + [
         permuted_blocks(rng, sizes)
@@ -147,7 +147,7 @@ def test_embedding_counts_the_near_zero_eigenvalues():
         w = np.linalg.eigvalsh(L)
         for c in (2, 3, 5):
             _, count = sp.update_embedding(L, c)
-            assert count == int(np.count_nonzero(w[: c + 1] < ZERO_EIG_TOL))
+            assert count == int(np.count_nonzero(w[: c + 1] < ZERO_EIG_TOL * L.diagonal().max()))
     # with c = n there is no (c+1)-th eigenvalue, so all n are counted
     for Z, zeros in ((rng.random((15, 15)), 1), (np.zeros((15, 15)), 15)):
         F, count = sp.update_embedding(sp.build_laplacian(Z), 15)
@@ -170,12 +170,12 @@ def test_embedding_read_off_c_components_spans_the_eigensolvers_subspace(monkeyp
 def test_embedding_falls_back_to_the_eigensolver(monkeypatch):
     rng = np.random.default_rng(13)
     calls = record_eigensolves(monkeypatch)
-    # three components, but not c of them
+    # three components, but c - 3 above _LANCZOS_MAX_WANTED
     L = sp.build_laplacian(permuted_blocks(rng, [4, 5, 6]))
-    for c in (2, 4):
-        F, count = sp.update_embedding(L, c)
-        assert calls[-1] == c + 1 and count == 3
-        assert np.array_equal(F, symmetric_eigen(L, c + 1).vectors[:, :c])
+    c = 4 + spc_module._LANCZOS_MAX_WANTED
+    F, count = sp.update_embedding(L, c)
+    assert calls == [c + 1] and count == 3
+    assert np.array_equal(F, symmetric_eigen(L, c + 1).vectors[:, :c])
     # two components, but a 1e-12 edge joins two blocks, so the third
     # eigenvalue is near zero too and the Cholesky check refuses the shortcut
     calls.clear()
@@ -187,6 +187,20 @@ def test_embedding_falls_back_to_the_eigensolver(monkeypatch):
     assert spc_module._components(L != 0)[1] == 2
     F, count = sp.update_embedding(L, 2)
     assert calls == [3] and count == 3
+
+
+def record_factorizations(monkeypatch):
+    """Collect whether every shifted factorization of the F-step succeeded."""
+    factorized = []
+    shifted_factor = spc_module._shifted_factor
+
+    def recording(*args):
+        factor = shifted_factor(*args)
+        factorized.append(factor is not None)
+        return factor
+
+    monkeypatch.setattr(spc_module, "_shifted_factor", recording)
+    return factorized
 
 
 def bridged_blocks(rng, n, c, k, bridge):
@@ -205,6 +219,34 @@ def bridged_blocks(rng, n, c, k, bridge):
     return Z[np.ix_(perm, perm)]
 
 
+def test_embedding_takes_the_indicators_of_more_than_c_components(monkeypatch):
+    # with k > c components F is the normalized indicators of the c-1
+    # largest (a tie goes to the component of the first sample) and of the
+    # union of the rest, built by hand here; the count is c+1 at any scale,
+    # with no factorization and no eigensolve
+    rng = np.random.default_rng(19)
+    eigensolves = record_eigensolves(monkeypatch)
+    factorized = record_factorizations(monkeypatch)
+    sizes = [120, 70, 30, 110, 70]
+    block = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    Z = (block[:, None] == block[None, :]) * (rng.random((len(block), len(block))) + 0.1)
+    first = [np.flatnonzero(block == b)[0] for b in range(len(sizes))]
+    order = sorted(range(len(sizes)), key=lambda b: (-sizes[b], first[b]))
+    for c in (2, 3, 4):
+        want = np.zeros((len(block), c))
+        for j in range(c):
+            members = np.isin(block, order[j:] if j == c - 1 else [order[j]])
+            want[members, j] = 1.0 / np.sqrt(np.count_nonzero(members))
+        for scale in (1e-9, 1.0, 1e9):
+            L = sp.build_laplacian(Z * scale)
+            F, count = sp.update_embedding(L, c)
+            assert count == c + 1 and F.tobytes() == want.tobytes()
+            again, again_count = sp.update_embedding(L, c)
+            assert again.tobytes() == F.tobytes() and again_count == count
+            assert np.abs(L @ F).max() <= 1e-13 * L.diagonal().max()
+    assert not eigensolves and not factorized
+
+
 def record_lanczos(monkeypatch):
     """Collect what every Lanczos run of the F-step returned, None where it gave up."""
     runs = []
@@ -220,18 +262,18 @@ def record_lanczos(monkeypatch):
 
 def assert_spans_the_eigensolvers_subspace(L, c, F, count):
     eig = symmetric_eigen(L, c + 1)
-    assert count == int(np.count_nonzero(eig.values < ZERO_EIG_TOL))
+    assert count == int(np.count_nonzero(eig.values < ZERO_EIG_TOL * L.diagonal().max()))
     assert np.allclose(F.T @ F, np.eye(c), rtol=0, atol=1e-12)
     V = eig.vectors[:, :c]
     assert np.allclose(F @ F.T, V @ V.T, rtol=0, atol=1e-10)
 
 
 def test_embedding_by_lanczos_matches_the_eigensolver(monkeypatch):
-    # from LANCZOS_MIN_ORDER up, a graph with k < c components takes its
-    # indicators and the c-k next eigenvectors from shift-invert Lanczos,
-    # with no eigensolve, to the eigensolver's count and subspace
+    # a graph with k < c components takes its indicators and the c-k next
+    # eigenvectors from shift-invert Lanczos, with no eigensolve, to the
+    # eigensolver's count and subspace
     rng = np.random.default_rng(15)
-    n = LANCZOS_MIN_ORDER
+    n = 400
     eigensolves = record_eigensolves(monkeypatch)
     runs = record_lanczos(monkeypatch)
     sparse = rng.random((n, n)) * (rng.random((n, n)) < 0.02)
@@ -262,41 +304,33 @@ def test_embedding_by_lanczos_solves_by_two_triangular_solves(monkeypatch):
 
 def test_embedding_by_lanczos_falls_back_to_the_eigensolver(monkeypatch):
     rng = np.random.default_rng(16)
-    n = LANCZOS_MIN_ORDER
+    n = 400
     eigensolves = record_eigensolves(monkeypatch)
     runs = record_lanczos(monkeypatch)
-    factorized = []
-    shifted_factor = spc_module._shifted_factor
-
-    def recording(*args):
-        factor = shifted_factor(*args)
-        factorized.append(factor is not None)
-        return factor
-
-    monkeypatch.setattr(spc_module, "_shifted_factor", recording)
-    # more components than c: no factorization, and the count is evr's
+    factorized = record_factorizations(monkeypatch)
+    # more components than c: no factorization and no eigensolve, and the
+    # count is c+1
     L = sp.build_laplacian(bridged_blocks(rng, n, 5, 5, 0.0))
     F, count = sp.update_embedding(L, 3)
-    assert eigensolves == [4] and not factorized and count == 4
-    assert np.array_equal(F, symmetric_eigen(L, 4).vectors[:, :3])
-    # connected through a 1e-12 bridge: lambda_2 is below ZERO_EIG_TOL, so
-    # the factorization fails and Lanczos never runs
+    assert not eigensolves and not factorized and not runs and count == 4
+    # connected through a 1e-12 bridge: lambda_2 is below the near-zero
+    # bound, so the factorization fails and Lanczos never runs
     L = sp.build_laplacian(bridged_blocks(rng, n, 2, 1, 1e-12))
     F, count = sp.update_embedding(L, 2)
-    assert eigensolves == [4, 3] and factorized == [False] and not runs and count == 2
+    assert eigensolves == [3] and factorized == [False] and not runs and count == 2
     # the solver's near-complete initial graph (lambda_2/lambda_3 about
     # 0.999) needs several restarts, so with a cap of one ARPACK gives up
     L = sp.build_laplacian(init_graph(n, 0))
     with monkeypatch.context() as patch:
         patch.setattr(sp.numerics, "_LANCZOS_RESTARTS", 1)
         F, count = sp.update_embedding(L, 2)
-    assert eigensolves == [4, 3, 3] and factorized == [False, True] and runs == [None] and count == 1
+    assert eigensolves == [3, 3] and factorized == [False, True] and runs == [None] and count == 1
     assert np.array_equal(F, symmetric_eigen(L, 3).vectors[:, :2])
-    # below LANCZOS_MIN_ORDER a graph with fewer than c components goes
-    # straight to the eigensolver, as it does at any order with more
+    # at any order a graph with fewer than c components takes Lanczos
     L = sp.build_laplacian(bridged_blocks(rng, n - 1, 3, 1, 1e-2))
     F, count = sp.update_embedding(L, 3)
-    assert eigensolves == [4, 3, 3, 4] and len(factorized) == 2 and len(runs) == 1 and count == 1
+    assert eigensolves == [3, 3] and factorized == [False, True, True] and runs[-1] is not None and count == 1
+    assert_spans_the_eigensolvers_subspace(L, 3, F, count)
     # ARPACK's own estimates pass at 1e-17, but no true residual of a
     # computed vector gets that far below rounding, so the vectors are refused
     converged = []
@@ -312,8 +346,8 @@ def test_embedding_by_lanczos_falls_back_to_the_eigensolver(monkeypatch):
         patch.setattr(sp.numerics, "eigsh", recording_eigsh)
         patch.setattr(sp.numerics, "_LANCZOS_RESIDUAL", 1e-17)
         F, count = sp.update_embedding(L, 3)
-    assert converged == [True] and runs == [None, None] and count == 1
-    assert eigensolves == [4, 3, 3, 4, 4] and factorized == [False, True, True]
+    assert converged == [True] and runs[-1] is None and len(runs) == 3 and count == 1
+    assert eigensolves == [3, 3, 4] and factorized == [False, True, True, True]
     assert np.array_equal(F, symmetric_eigen(L, 4).vectors[:, :3])
 
 
@@ -322,7 +356,7 @@ def test_embedding_by_lanczos_solves_the_initial_graph(monkeypatch):
     # ARPACK's restarts get there with no eigensolve
     eigensolves = record_eigensolves(monkeypatch)
     runs = record_lanczos(monkeypatch)
-    for n in (LANCZOS_MIN_ORDER, 1000):
+    for n in (400, 1000):
         L = sp.build_laplacian(init_graph(n, 0))
         F, count = sp.update_embedding(L, 2)
         assert not eigensolves and runs[-1] is not None and count == 1
@@ -335,7 +369,7 @@ def test_embedding_by_lanczos_finds_many_eigenvectors(monkeypatch):
     # c - k = 2 and _LANCZOS_MAX_WANTED wanted eigenvectors on a connected
     # graph: the Krylov dimension grows with their number
     rng = np.random.default_rng(15)
-    n = LANCZOS_MIN_ORDER
+    n = 400
     eigensolves = record_eigensolves(monkeypatch)
     runs = record_lanczos(monkeypatch)
     L = sp.build_laplacian(rng.random((n, n)) * (rng.random((n, n)) < 0.02))
@@ -349,7 +383,7 @@ def test_embedding_sends_many_wanted_eigenvectors_to_the_eigensolver(monkeypatch
     # past _LANCZOS_MAX_WANTED eigenvectors beyond the components one
     # eigensolve is faster than Lanczos, so it runs alone
     rng = np.random.default_rng(15)
-    n = LANCZOS_MIN_ORDER
+    n = 400
     eigensolves = record_eigensolves(monkeypatch)
     runs = record_lanczos(monkeypatch)
     L = sp.build_laplacian(rng.random((n, n)) * (rng.random((n, n)) < 0.02))
@@ -363,7 +397,7 @@ def test_embedding_by_lanczos_passes_over_the_components_of_a_near_complete_grap
     # two complete blocks joined by slightly lighter edges: lambda_2 = n - 1
     # lies above every degree (n - 1.5), so the components' directions would
     # come first in the shifted inverse unless the shift on them exceeds ||L||
-    n = LANCZOS_MIN_ORDER
+    n = 400
     Z = np.full((n, n), 1.0 - 1.0 / n)
     Z[: n // 2, : n // 2] = Z[n // 2 :, n // 2 :] = 1.0
     np.fill_diagonal(Z, 0.0)
@@ -379,21 +413,48 @@ def test_embedding_by_lanczos_passes_over_the_components_of_a_near_complete_grap
 def test_embedding_by_lanczos_counts_the_components_at_any_scale(monkeypatch):
     # two blocks joined by weak bridges: connected, so L has one zero
     # eigenvalue. Scaled by 1e9, evr's rounding puts it far above the
-    # absolute ZERO_EIG_TOL and reads no zero at all; the factorization
-    # certifies the component itself, so the count stays 1
+    # absolute ZERO_EIG_TOL; scaled by 1e-12, lambda_2 lies far below it.
+    # The near-zero bound and the shift follow the largest degree, so the
+    # factorization certifies the one component at every scale, and without
+    # the bridges the two, with no eigensolve
     rng = np.random.default_rng(17)
     n = 600
     eigensolves = record_eigensolves(monkeypatch)
     Z = permuted_blocks(rng, [n // 2, n // 2])
-    Z[rng.integers(0, n, 10), rng.integers(0, n, 10)] = 1e-3
-    assert spc_module._components(Z > 0)[1] == 1
-    for scale in (1.0, 1e6, 1e9):
-        L = sp.build_laplacian(Z * scale)
+    labels = spc_module._components(Z > 0)[0]
+    blocks = np.zeros((n, 2))
+    blocks[np.arange(n), labels] = 1.0 / np.sqrt(n // 2)
+    bridged = Z.copy()
+    bridged[rng.integers(0, n, 10), rng.integers(0, n, 10)] = 1e-3
+    assert spc_module._components(bridged > 0)[1] == 1
+    for scale in (1e-12, 1.0, 1e6, 1e9):
+        L = sp.build_laplacian(bridged * scale)
         F, count = sp.update_embedding(L, 2)
         assert count == 1 and not eigensolves
         V = symmetric_eigen(L, 2).vectors
         assert np.allclose(F @ F.T, V @ V.T, rtol=0, atol=1e-10)
+        F, count = sp.update_embedding(sp.build_laplacian(Z * scale), 2)
+        assert count == 2 and not eigensolves and F.tobytes() == blocks.tobytes()
     assert symmetric_eigen(L, 3).values[0] > ZERO_EIG_TOL
+
+
+def test_embedding_by_lanczos_at_small_orders(monkeypatch):
+    # Lanczos runs at every order: connected graphs of order 2 to 24 with c
+    # up to 1 + _LANCZOS_MAX_WANTED reach the eigensolver's count and
+    # subspace, and a warning would fail the test. At order 2 the second
+    # eigenvalue is 2 * the degree, the shift, so ARPACK's pair is refused
+    # and evr runs
+    rng = np.random.default_rng(20)
+    eigensolves = record_eigensolves(monkeypatch)
+    for n in range(2, 25):
+        for density in (1.0, 0.3):
+            Z = rng.random((n, n)) * (rng.random((n, n)) < density) + np.eye(n, k=1)
+            L = sp.build_laplacian(Z)
+            for c in range(2, min(n, 1 + spc_module._LANCZOS_MAX_WANTED) + 1):
+                F, count = sp.update_embedding(L, c)
+                assert_spans_the_eigensolvers_subspace(L, c, F, count)
+                assert count == 1 and (not eigensolves or n == 2), (n, density, c)
+                eigensolves.clear()
 
 
 def test_components_match_scipy():
@@ -786,14 +847,14 @@ def test_loop_memory_budget(solver):
     # alive across iterations, plus two n x n transients at a time: the
     # Laplacian and the eigensolver's copy of it (or the copy the F-step
     # factorizes for its read-off or its Lanczos run), or the projected
-    # graph and the ZZ' triangle. At n = 300 that reads 4.26 and 4.24 n^2;
-    # an mSPC loop that kept its combined kernel read 5.24, one that also
-    # kept the Cholesky factor and A^{-1}K read 5.26 and 6.24, and one that
-    # kept stale bindings and built its sums in whole-matrix temporaries
-    # read 8.03 and 9.03. At LANCZOS_MIN_ORDER iterations 0-4 run ARPACK's
-    # Lanczos on 16 vectors of n beside the components, and the peak reads
-    # 4.17 for both
-    for n in (300, LANCZOS_MIN_ORDER):
+    # graph and the ZZ' triangle. Iterations 0-4 run ARPACK's Lanczos on 16
+    # vectors of n beside the components, and the peak reads 4.23 n^2 for
+    # both at n = 300 and 4.17 at n = 400. With evr's copy in the F-step,
+    # n = 300 read 4.26 and 4.24; an mSPC loop that kept its combined kernel
+    # read 5.24, one that also kept the Cholesky factor and A^{-1}K read
+    # 5.26 and 6.24, and one that kept stale bindings and built its sums in
+    # whole-matrix temporaries read 8.03 and 9.03
+    for n in (300, 400):
         X = sp.generate_two_moons(n, noise_sigma=0.08, seed=0)
         if solver == "spc":
             run, data, budget = sp.run_spc, sp.normalize_kernel(sp.gaussian_kernel(X, 0.01)), 4.5
