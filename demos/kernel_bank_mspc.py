@@ -33,6 +33,11 @@ print("learned weights, largest first:")
 for i in order[:5]:
     print(f"  {kernel_label(bank[i]):14s} w = {state.weights[i]:.4f}  cost = {state.costs[i]:.2f}")
 
+# the weights define one learned kernel H = sum_i w_i K^i; the solver never
+# forms it, and combine_kernels does so on demand
+H = sp.combine_kernels(bank, state.weights)
+print(f"objective of the final graph under H: {sp.objective(H, result.graph, result.embedding, cfg):.4f}")
+
 baseline = sp.lloyd_kmeans(data, 2, seed=0)
 acc_mspc = sp.accuracy(result.labels, data.labels)
 acc_km = sp.accuracy(baseline.labels, data.labels)

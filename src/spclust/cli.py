@@ -111,7 +111,7 @@ def _cmd_build_kernels(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     manifest = []
     for i, K in enumerate(bank, start=1):
-        name = f"kernel_{i:02d}.csv"
+        name = f"kernel_{i:02d}.npy"
         save_matrix(K.values, os.path.join(args.out, name))
         manifest.append(f"{name} {kernel_label(K)}")
     _atomic_write(os.path.join(args.out, "kernels.txt"), [line + "\n" for line in manifest])

@@ -13,8 +13,8 @@ kernel step, which turns those costs into new weights through the
 closed-form KKT solution w_i = (h_i * sum_j 1/h_j)^(-2). Kernels that
 explain the learned graph cheaply earn larger weights. The loop sums the
 bank under each iteration's weights straight into A = H + 2*gamma*I and
-never forms H itself; :func:`combine_kernels` forms H once, after the loop,
-from the final weights.
+never forms H itself; :func:`combine_kernels` forms H on demand, for
+example from the final weights that :func:`run_mspc` returns.
 
 Weights start at the literal 1/r, which breaks the sqrt-sum constraint for
 r > 1; the first update restores feasibility and every later iterate keeps
@@ -36,10 +36,13 @@ from .spc import ClusteringResult, SpcConfig, alternate, kernel_costs
 
 @dataclass
 class MklState:
-    """Final multiple-kernel state: weights, combined kernel, costs."""
+    """Final multiple-kernel state: the last weights and the costs that gave them.
+
+    The combined kernel of those weights is combine_kernels(bank, weights);
+    the run never forms it.
+    """
 
     weights: np.ndarray
-    combined: KernelMatrix
     costs: np.ndarray
 
 
@@ -94,8 +97,8 @@ def run_mspc(bank: list[KernelMatrix], cfg: SpcConfig) -> tuple[ClusteringResult
     they give, which the loop sums the bank under at the next iteration.
     Stops like the single-kernel solver: relative Frobenius change of Z
     below cfg.rel_tol, or cfg.max_iters. The returned state holds the last
-    step's weights and costs, and the combined kernel of those weights,
-    formed once, after the loop.
+    step's weights and costs; combine_kernels(bank, state.weights) gives
+    the combined kernel of those weights.
 
     A bank of one kernel reproduces the single-kernel run bit for bit given
     the same seed, since the lone weight is exactly 1. The bank enters once,
@@ -113,4 +116,4 @@ def run_mspc(bank: list[KernelMatrix], cfg: SpcConfig) -> tuple[ClusteringResult
         return weights
 
     result = alternate(bank, weights, cfg, kernel_step)
-    return result, MklState(weights=weights, combined=combine_kernels(bank, weights), costs=costs)
+    return result, MklState(weights=weights, costs=costs)

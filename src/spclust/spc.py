@@ -184,6 +184,14 @@ class SpcConfig:
     alpha == 1 exactly disables it (the plain self-expressive variant).
     beta weights the spectral rank penalty, gamma the ridge term.
     Types and ranges are checked at construction.
+
+    For run_spc, alpha rescales beta: the Z-subproblem is homogeneous,
+    Z*(alpha, beta) = alpha Z*(1, beta/alpha), and the F-step, the stop
+    test and the labels ignore Z's scale. A run at (alpha, beta) gives the
+    labels and iteration count of the run at (1, beta/alpha), its beta
+    series times alpha and its graph times alpha: up to rounding, and bit
+    for bit when alpha is a power of two. run_mspc's kernel costs are not
+    homogeneous in Z, so there alpha matters on its own.
     """
 
     alpha: float

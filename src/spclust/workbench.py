@@ -1,25 +1,22 @@
 """Experiment workbench: data files, synthetic data, reports, and plotting.
 
-File formats are plain text chosen for diff-ability:
+A matrix file whose name ends in ".npy" is numpy's binary format: the
+float64 array as it is in memory, behind a short header, written by
+np.save and read by np.load with pickling refused. Kernel banks
+(build-kernels) and learned graphs (run_experiment) are written this way:
+n x n float64 matrices that only a program reads back, where text costs
+2.8x the bytes and over 50x the time. Every entry reads back bit for bit,
+NaN payloads included. Every other file is text:
 
-- dense matrix: header line "rows,cols", then one comma-separated line per
-  row, values printed with 17 significant digits so float64 round-trips
-  exactly; kernel and graph matrices reuse the same format;
+- dense matrix (any other name): header line "rows,cols", then one
+  comma-separated line per row, values printed with 17 significant digits
+  so float64 round-trips exactly (every NaN reads back as the canonical
+  one); data files use it, and are streamed one row at a time in both
+  directions;
 - labels: one integer per line;
 - run report: one JSON object ("spc-report/3"), floats as their repr, so
   every value reads back bit for bit; its schema is the field annotations
   of RunReport and SpcTrace.
-
-Matrix files are streamed one row at a time in both directions, and neither
-side holds the whole file as a string. Each off-diagonal pair of a symmetric
-matrix (every kernel) is formatted and parsed once: the writer checks once
-whether a square matrix is symmetric bit for bit and, if so, formats each
-row from the diagonal rightwards and takes the text left of it from the
-rows above; the reader of a square file copies a row's values left of the
-diagonal from the column above while their text is the same. Both hold the
-text still to mirror, up to about n^2/4 fields at once (about 2 MB at
-n = 600). The bytes written and the values read are those of formatting and
-parsing every entry.
 
 All writes go through one write-temp-then-rename step, so readers never see
 a half-written file; a write that fails removes its temp file and leaves the
@@ -76,17 +73,22 @@ SVG_PALETTE = (
 )
 
 
-def _atomic_write(path: str, chunks: Iterable[str]) -> None:
-    """Write the concatenated chunks to path through a temp file and a rename.
+def _atomic_write(path: str, chunks: Union[Iterable[str], np.ndarray]) -> None:
+    """Write text chunks, or an array as a .npy file, to path through a temp file and a rename.
 
-    Chunks are written as they come, so a generator is streamed. On any
+    Text chunks are written as they come, so a generator is streamed; an
+    array is written in binary by np.save, pickling refused. On any
     exception the temp file is removed, the target is left as it was and
     the exception propagates.
     """
+    binary = isinstance(chunks, np.ndarray)
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w") as fh:
-            fh.writelines(chunks)
+        with open(tmp, "wb" if binary else "w") as fh:
+            if binary:
+                np.save(fh, chunks, allow_pickle=False)
+            else:
+                fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -100,86 +102,38 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
 # dense matrix and label files
 
 
-class _MirrorColumns:
-    """The text of a symmetric matrix's upper triangle that the rows below repeat.
-
-    Row i repeats left of its diagonal the fields that rows 0..i-1 hold in
-    column i. Each row appends its fields right of the diagonal to their
-    columns' buffers, each field followed by a comma, and row i takes
-    column i's buffer whole. So the text held is the block above the current
-    row and right of its diagonal: up to about n^2/4 fields at once, about
-    2 MB at n = 600. The writer and the reader of matrix files both keep
-    their mirrored text here.
-    """
-
-    def __init__(self):
-        self.columns: list[bytearray] = []  # the columns right of the last row taken
-
-    def left(self) -> bytearray:
-        """Take the next row's text left of its diagonal, each field followed by a comma."""
-        return self.columns.pop(0) if self.columns else bytearray()
-
-    def keep(self, right: list[bytes]) -> None:
-        """Append the fields right of the diagonal of the row just taken to their columns."""
-        if not self.columns:  # the first row sizes the columns, so a header alone allocates nothing
-            self.columns = [bytearray() for _ in right]
-        list(map(bytearray.extend, self.columns, right))
-        list(map(bytearray.append, self.columns, itertools.repeat(ord(","))))
+def _checked_matrix(A: np.ndarray, prefix: str = "") -> np.ndarray:
+    # A itself if it is 2-D with both dimensions positive; else ValueError, its message after prefix
+    if A.ndim != 2:
+        raise ValueError(f"{prefix}matrix must be 2-D, got shape {A.shape}")
+    if min(A.shape) < 1:
+        raise ValueError(f"{prefix}matrix dimensions must be positive, got shape {A.shape}")
+    return A
 
 
 def _matrix_lines(A: np.ndarray) -> Iterator[str]:
     # checks run now, before any caller opens a file; rows are formatted lazily
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise ValueError(f"matrix must be 2-D, got shape {A.shape}")
-    rows, cols = A.shape
-    if rows < 1 or cols < 1:
-        raise ValueError(f"matrix dimensions must be positive, got shape {A.shape}")
-    # bit for bit, so a -0.0 facing a 0.0 or two NaN payloads never count as mirrored
-    bits = A.view(np.uint64)
-    mirror = _MirrorColumns() if rows == cols and np.array_equal(bits, bits.T) else None
-    return itertools.chain([f"{rows},{cols}\n"], _format_rows(A, mirror))
-
-
-def _format_rows(A: np.ndarray, mirror: Optional[_MirrorColumns]) -> Iterator[str]:
-    # a symmetric matrix formats each row from the diagonal rightwards, as the
-    # bytes its column buffers hold, and takes the text left of the diagonal
-    # from the rows above
-    for i, row in enumerate(A):
-        if mirror is None:
-            yield ",".join(["%.17g" % v for v in row.tolist()]) + "\n"
-        else:
-            fields = [b"%.17g" % v for v in row[i:].tolist()]
-            line = mirror.left()
-            mirror.keep(fields[1:])
-            line += b",".join(fields)
-            line += b"\n"
-            yield line.decode()
+    A = _checked_matrix(np.asarray(A, dtype=float))
+    rows = (",".join(["%.17g" % v for v in row.tolist()]) + "\n" for row in A)
+    return itertools.chain([f"{A.shape[0]},{A.shape[1]}\n"], rows)
 
 
 def format_matrix(A: np.ndarray) -> str:
     """Matrix file text: "rows,cols", then one line per row, values as %.17g.
 
-    The text is the join of the lines save_matrix streams, so the two give
-    the same bytes. A square matrix that is symmetric bit for bit has each
-    mirrored pair formatted once; the text is the same. Raises ValueError
-    for anything but a 2-D matrix with both dimensions positive.
+    The text is the join of the lines save_matrix streams to a text file,
+    so the two give the same bytes. Raises ValueError for anything but a
+    2-D matrix with both dimensions positive.
     """
     return "".join(_matrix_lines(A))
 
 
 def _read_matrix(lines: Iterator[str], source: str) -> np.ndarray:
-    """The one matrix parser: consumes a file's lines (newline-terminated) one by one.
+    """The one text matrix parser: consumes a file's lines (newline-terminated) one by one.
 
     Values use Python's float syntax. The first fault found is reported in
     this order: header, too few data lines, content after the last row,
     then the first malformed row, with its line and column numbers.
-
-    In a square file, a row whose fields left of the diagonal are the same
-    text as the column above copies those values instead of parsing them
-    again; the first row that is not mirrored ends the copying, and every
-    row from there is parsed whole. Copies of the same text give the same
-    values, so the result does not depend on the copying.
     """
     header = next(lines, None)
     if header is None:
@@ -195,7 +149,6 @@ def _read_matrix(lines: Iterator[str], source: str) -> np.ndarray:
     if rows < 1 or cols < 1:
         raise ValueError(f"{source}, line 1: dimensions must be positive, got {rows}x{cols}")
     values = array("d")  # grows with the rows read: a header alone allocates nothing
-    mirror = _MirrorColumns() if rows == cols else None
     bad_row = None  # message for the first malformed row, raised once the line count is known
     data_lines = 0
     for data_lines, line in enumerate(lines, start=1):
@@ -204,24 +157,9 @@ def _read_matrix(lines: Iterator[str], source: str) -> np.ndarray:
                 extra = line.rstrip("\n")
                 raise ValueError(f"{source}: unexpected content after row {rows}: {extra!r}")
         elif bad_row is None:
-            text = line.rstrip("\n")
-            first = 0  # the row's fields before this column copy the column above
-            if mirror is not None:
-                left = mirror.left().decode()
-                if text.startswith(left):
-                    first, text = data_lines - 1, text[len(left) :]
-                    values.extend(values[first::cols])
-                else:
-                    mirror = None
-            parts = text.split(",")
-            if first + len(parts) != cols:
-                bad_row = f"{source}, line {data_lines + 1}: expected {cols} values, got {first + len(parts)}"
-                continue
-            fault = _read_fields(values, parts, first)
+            fault = _read_row(values, cols, line.rstrip("\n"))
             if fault is not None:
                 bad_row = f"{source}, line {data_lines + 1}{fault}"
-            elif mirror is not None:
-                mirror.keep(list(map(str.encode, parts[1:])))
     if data_lines < rows:
         raise ValueError(f"{source}: header promises {rows} rows, file has {data_lines} data lines")
     if bad_row is not None:
@@ -229,14 +167,16 @@ def _read_matrix(lines: Iterator[str], source: str) -> np.ndarray:
     return np.array(values).reshape(rows, cols)
 
 
-def _read_fields(values: array, parts: list[str], first: int) -> Optional[str]:
-    # appends the values of a row's fields from column first on, or returns what is
-    # wrong with the first bad one (values may then hold part of the row, but a
-    # parse with a bad row never returns them)
+def _read_row(values: array, cols: int, line: str) -> Optional[str]:
+    # appends the line's values, or returns what is wrong with the line (values
+    # may then hold part of the row, but a parse with a bad row never returns them)
+    parts = line.split(",")
+    if len(parts) != cols:
+        return f": expected {cols} values, got {len(parts)}"
     try:
         values.extend(map(float, parts))
     except ValueError:
-        for c, part in enumerate(parts, start=first + 1):
+        for c, part in enumerate(parts, start=1):
             try:
                 float(part)
             except ValueError:
@@ -248,35 +188,47 @@ def _read_fields(values: array, parts: list[str], first: int) -> Optional[str]:
 def parse_matrix(text: str, source: str = "<string>") -> np.ndarray:
     """Parse matrix file text; the inverse of format_matrix.
 
-    Runs the parser load_matrix runs, over the text's lines split as a file
-    read in text mode splits them (\\n, \\r\\n or \\r), so both accept the same
-    content and raise the same errors. Errors name source, line and column.
-    A square matrix whose rows repeat the text of the column above has each
-    mirrored pair parsed once (see _read_matrix).
+    Runs the parser load_matrix runs on a text file, over the text's lines
+    split as a file read in text mode splits them (\\n, \\r\\n or \\r), so
+    both accept the same content and raise the same errors. Errors name
+    source, line and column.
     """
     return _read_matrix(io.StringIO(text, newline=None), source)
 
 
 def save_matrix(A: np.ndarray, path: str) -> None:
-    """Write a matrix file, streaming one formatted row at a time.
+    """Write a matrix file: .npy for a path ending in ".npy", text otherwise.
 
-    The bytes equal format_matrix(A); a symmetric matrix has each mirrored
-    pair formatted once, holding the text of up to about n^2/4 fields for
-    the rows below. The file appears by temp-then-rename; a matrix that
-    format_matrix rejects raises before any file is opened.
+    The matrix is taken as float64, C-ordered. A text file streams one
+    formatted row at a time and its bytes equal format_matrix(A). Either
+    file appears by temp-then-rename, and a matrix that load_matrix would
+    refuse (not 2-D, a dimension of 0) raises before any file is opened.
     """
-    _atomic_write(path, _matrix_lines(A))
+    if path.endswith(".npy"):
+        _atomic_write(path, _checked_matrix(np.asarray(A, dtype=float, order="C")))
+    else:
+        _atomic_write(path, _matrix_lines(A))
 
 
 def load_matrix(path: str) -> np.ndarray:
-    """Read a matrix file row by row from the open file; errors name the path.
+    """Read a matrix file written by save_matrix; errors name the path.
 
-    Runs the parser of parse_matrix: a symmetric file written by save_matrix
-    has each mirrored pair parsed once, holding the text of up to about
-    n^2/4 fields.
+    A path ending in ".npy" is read by np.load, pickling refused, and must
+    hold a 2-D float64 array with both dimensions positive. Any other path
+    is text, read row by row from the open file by parse_matrix's parser.
     """
-    with open(path) as fh:
-        return _read_matrix(fh, path)
+    if not path.endswith(".npy"):
+        with open(path) as fh:
+            return _read_matrix(fh, path)
+    with open(path, "rb") as fh:
+        try:
+            A = np.load(fh, allow_pickle=False)
+        except (ValueError, EOFError) as e:
+            raise ValueError(f"{path}: not a .npy matrix file ({e})") from None
+    if not isinstance(A, np.ndarray) or A.dtype != np.float64:
+        found = f"dtype {A.dtype}" if isinstance(A, np.ndarray) else "an .npz archive"
+        raise ValueError(f"{path}: a .npy matrix file holds float64 values, found {found}")
+    return np.ascontiguousarray(_checked_matrix(A, f"{path}: "))
 
 
 def save_labels(labels, path: str) -> None:
@@ -589,8 +541,8 @@ def _score_labels(pred, truth) -> dict[str, float]:
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Run one configured experiment and write its artifacts.
 
-    Writes report.txt, labels.txt, and graph.csv (the learned affinity
-    matrix) into cfg.out. Metrics are computed only when the dataset
+    Writes report.txt, labels.txt, and graph.npy (the learned affinity
+    matrix, see save_matrix) into cfg.out. Metrics are computed only when the dataset
     carries ground-truth labels.
     """
     t0 = time.perf_counter()
@@ -615,7 +567,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     )
     _atomic_write(os.path.join(cfg.out, "report.txt"), [report.to_text()])
     save_labels(result.labels, os.path.join(cfg.out, "labels.txt"))
-    save_matrix(result.graph, os.path.join(cfg.out, "graph.csv"))
+    save_matrix(result.graph, os.path.join(cfg.out, "graph.npy"))
     return report
 
 

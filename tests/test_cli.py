@@ -27,9 +27,12 @@ def test_build_kernels_writes_bank_and_manifest(tmp_path):
     with open(os.path.join(out, "kernels.txt")) as fh:
         manifest = fh.read().splitlines()
     assert len(manifest) == 12
-    assert manifest[0] == "kernel_01.csv gaussian:0.01"
-    K = sp.load_matrix(os.path.join(out, "kernel_01.csv"))
-    assert K.shape == (20, 20)
+    assert manifest[0] == "kernel_01.npy gaussian:0.01"
+    names = [line.split()[0] for line in manifest]
+    assert sorted(os.listdir(out)) == sorted(names + ["kernels.txt"])
+    for name, K in zip(names, sp.build_standard_bank(sp.load_dense_matrix(data))):
+        back = sp.load_matrix(os.path.join(out, name))
+        assert np.array_equal(back.view(np.uint64), K.values.view(np.uint64)), name
 
 
 def test_spc_run_reports_and_exits_zero(tmp_path, capsys):

@@ -290,8 +290,7 @@ def test_factorizes_once_per_kernel(monkeypatch):
 def test_loop_factorizes_the_ridged_sum_under_the_returned_weights(monkeypatch):
     # the loop sums the bank into A = sum_i w_i K^i + 2*gamma*I itself, under
     # the 1/r start and then the weights each kernel step returns, within the
-    # rounding bound of the combine test; combine_kernels runs once per run,
-    # after the loop, for the returned state
+    # rounding bound of the combine test; a run never calls combine_kernels
     factored, returned, combined = [], [], []
     mkl_module = sys.modules["spclust.mkl"]
 
@@ -315,7 +314,7 @@ def test_loop_factorizes_the_ridged_sum_under_the_returned_weights(monkeypatch):
     cfg = sp.SpcConfig(alpha=1.0, beta=0.5, gamma=3.0, clusters=2, adapt_beta=True, max_iters=6, seed=0)
     result, state = run_mspc(bank, cfg)
     assert len(factored) == len(returned) == result.trace.iterations > 1
-    assert len(combined) == 1 and np.array_equal(combined[0], state.weights)
+    assert combined == []
     assert np.array_equal(state.weights, returned[-1])
     eps = np.finfo(float).eps
     for A, w in zip(factored, [np.full(r, 1.0 / r)] + returned[:-1]):
@@ -399,7 +398,7 @@ def test_loop_arithmetic_follows_the_kernel_step(monkeypatch):
     first, state = run_mspc(bank, cfg)
     second, _ = run_mspc(bank, replace(cfg, max_iters=2))
     assert second.trace.iterations == 2 and len(steps) == 3
-    H = state.combined.values
+    H = combine_kernels(bank, state.weights).values
     F, t = second.embedding, second.trace
     D = ((F[:, None, :] - F[None, :, :]) ** 2).sum(axis=2)
     expect = np.linalg.solve(H + 2 * cfg.gamma * np.eye(n), cfg.alpha * H - 0.5 * cfg.beta * D)
@@ -431,9 +430,9 @@ def test_mspc_state_contract():
     assert state.weights.shape == (12,)
     assert abs(np.sqrt(state.weights).sum() - 1.0) <= 1e-12
     assert state.costs.shape == (12,) and np.all(state.costs > 0)
-    assert isinstance(state.combined, sp.KernelMatrix)
+    assert not hasattr(state, "combined")  # the run forms no combined kernel
     assert np.allclose(
-        state.combined.values,
+        combine_kernels(bank, state.weights).values,
         sum(w * K.values for w, K in zip(state.weights, bank)),
         atol=1e-12,
     )

@@ -909,6 +909,20 @@ def test_adaptive_beta_bookkeeping():
     assert set(np.round(ratios, 12)) <= {0.5, 1.0, 2.0}
 
 
+def test_alpha_scales_the_graph_of_the_run_at_beta_over_alpha():
+    # the Z-subproblem is homogeneous, Z*(alpha, beta) = alpha Z*(1, beta/alpha), and the
+    # F-step, the stop test and the labels ignore Z's scale; alpha = 4 scales exactly
+    X = sp.generate_two_moons(300, 0.08, seed=0)
+    K = sp.normalize_kernel(sp.gaussian_kernel(X, 0.01))
+    base = dict(gamma=1.0, clusters=2, max_iters=300, adapt_beta=True, seed=0)
+    r4 = sp.run_spc(K, sp.SpcConfig(alpha=4.0, beta=0.125, **base))
+    r1 = sp.run_spc(K, sp.SpcConfig(alpha=1.0, beta=0.03125, **base))
+    assert np.array_equal(r4.labels, r1.labels)
+    assert r4.trace.iterations == r1.trace.iterations
+    assert [b / 4 for b in r4.trace.beta] == r1.trace.beta
+    assert np.abs(r4.graph - 4 * r1.graph).max() == 0
+
+
 def test_solver_input_validation():
     cfg = small_config()
     with pytest.raises(ValueError, match="square"):

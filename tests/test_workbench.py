@@ -99,8 +99,8 @@ def test_matrix_file_digests_are_pinned(moons_600):
 
 
 def test_mirrored_pairs_round_trip_bitwise(tmp_path):
-    # a -0.0 facing a 0.0 and two NaN payloads facing each other are not mirrored
-    # bit for bit; the file must still give each entry back exactly
+    # a -0.0 facing a 0.0 and two NaN payloads facing each other in a text file:
+    # each entry comes back exactly, but for the payload
     quiet, payload = np.float64(np.nan), np.uint64(0x7FF8000000000001).view(np.float64)
     path = str(tmp_path / "m.csv")
     for a, b in ((-0.0, 0.0), (0.0, -0.0), (quiet, payload), (payload, payload), (-0.0, -0.0)):
@@ -125,32 +125,6 @@ def test_square_non_symmetric_matrix_round_trips(tmp_path):
     S = S + S.T
     S[5, 4] = np.nextafter(S[4, 5], np.inf)  # symmetric but for the last row
     assert np.array_equal(_bits(parse_matrix(format_matrix(S))), _bits(S))
-
-
-def test_symmetric_file_parses_each_mirrored_pair_once(monkeypatch):
-    calls = []
-
-    def counting_float(text):
-        calls.append(text)
-        return float(text)
-
-    S = np.arange(25.0).reshape(5, 5) / 7
-    S = S + S.T
-    text = format_matrix(S)
-    monkeypatch.setattr(workbench, "float", counting_float, raising=False)
-    A = parse_matrix(text)
-    monkeypatch.undo()
-    assert np.array_equal(_bits(A), _bits(S))
-    assert len(calls) == 15  # the diagonal and the 10 entries above it
-    # the first row that does not mirror the column above ends the copying
-    calls.clear()
-    lines = text.splitlines(keepends=True)
-    lines[3] = lines[3].replace(lines[3].split(",")[0], "%.17g0" % S[2, 0], 1)  # same value
-    monkeypatch.setattr(workbench, "float", counting_float, raising=False)
-    A = parse_matrix("".join(lines))
-    monkeypatch.undo()
-    assert np.array_equal(_bits(A), _bits(S))
-    assert len(calls) == 5 + 4 + 5 + 5 + 5
 
 
 def test_matrix_format_header_and_body():
@@ -182,15 +156,73 @@ def test_matrix_parse_errors():
 
 
 def test_matrix_writer_rejects_what_the_reader_would(tmp_path):
-    path = str(tmp_path / "empty.csv")
-    for shape in [(0, 3), (3, 0)]:
-        with pytest.raises(ValueError, match=re.escape(f"positive, got shape {shape}")):
-            sp.save_matrix(np.empty(shape), path)
-        with pytest.raises(ValueError, match="positive"):
-            format_matrix(np.empty(shape))
-    with pytest.raises(ValueError, match="2-D"):
-        sp.save_matrix(np.zeros(3), path)
+    for path in (str(tmp_path / "empty.csv"), str(tmp_path / "empty.npy")):
+        for shape in [(0, 3), (3, 0)]:
+            with pytest.raises(ValueError, match=re.escape(f"positive, got shape {shape}")):
+                sp.save_matrix(np.empty(shape), path)
+            with pytest.raises(ValueError, match="positive"):
+                format_matrix(np.empty(shape))
+        for shape in [(3,), (2, 2, 2)]:
+            with pytest.raises(ValueError, match=re.escape(f"2-D, got shape {shape}")):
+                sp.save_matrix(np.zeros(shape), path)
     assert os.listdir(tmp_path) == []
+
+
+def test_npy_round_trip_is_bitwise(tmp_path):
+    # the binary file keeps every bit, the NaN payloads that text reads back as
+    # the canonical NaN included, and reads back C-ordered
+    payloads = np.array([[1.0, np.nan], [np.nan, 2.0]])
+    payloads.view(np.uint64)[1, 0] = 0x7FF8000000000001
+    rng = np.random.default_rng(4)
+    cases = [
+        np.array([[1.0, -0.0], [0.0, 2.0]]),  # a -0.0 facing a 0.0
+        payloads,
+        np.array([[5e-324, -5e-324], [1e308, 5e-324]]),
+        rng.standard_normal((6, 6)),  # square, not symmetric
+        np.array([[1.0, 2.0, 3.0, 4.0, 5.0]]),  # 1 x k
+        np.asfortranarray(rng.standard_normal((5, 3))),
+    ]
+    path = str(tmp_path / "m.npy")
+    for A in cases:
+        sp.save_matrix(A, path)
+        back = sp.load_matrix(path)
+        assert back.flags.c_contiguous and np.array_equal(_bits(back), _bits(A))
+    assert not np.array_equal(_bits(parse_matrix(format_matrix(payloads))), _bits(payloads))
+
+
+def test_npy_reader_refuses_what_is_not_a_matrix(tmp_path):
+    cases = [
+        (np.array([{"a": 1}, None], dtype=object), "not a .npy matrix file (Object arrays cannot be loaded"),
+        (np.arange(4).reshape(2, 2), "a .npy matrix file holds float64 values, found dtype int64"),
+        (np.zeros(3), "matrix must be 2-D, got shape (3,)"),
+        (np.zeros((2, 2, 2)), "matrix must be 2-D, got shape (2, 2, 2)"),
+        (np.zeros((0, 2)), "matrix dimensions must be positive, got shape (0, 2)"),
+    ]
+    path = str(tmp_path / "m.npy")
+    for A, message in cases:
+        np.save(path, A, allow_pickle=True)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            sp.load_matrix(path)
+    sp.save_matrix(np.eye(4), path)
+    whole = (tmp_path / "m.npy").read_bytes()
+    # text under a binary name, a file cut short, an empty file
+    for content in (format_matrix(np.eye(2)).encode(), whole[:-8], b""):
+        (tmp_path / "m.npy").write_bytes(content)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not a .npy matrix file")):
+            sp.load_matrix(path)
+    with open(path, "wb") as fh:
+        np.savez(fh, a=np.eye(2))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: a .npy matrix file holds float64 values, found an .npz")):
+        sp.load_matrix(path)
+
+
+def test_text_kernel_files_of_earlier_builds_still_load(tmp_path):
+    # build-kernels once wrote each kernel as kernel_NN.csv text; those files read back bit for bit
+    bank = sp.build_standard_bank(sp.generate_two_moons(20, 0.08, seed=0))
+    for i, K in enumerate(bank, start=1):
+        path = tmp_path / f"kernel_{i:02d}.csv"
+        path.write_text(format_matrix(K.values))
+        assert np.array_equal(_bits(sp.load_matrix(str(path))), _bits(K.values))
 
 
 # content, then the array parse_matrix gives or its message after the source name
@@ -209,7 +241,7 @@ _MATRIX_CONTENT = [
     ("3,2\n1,2\nx,4\n", ": header promises 3 rows, file has 2 data lines"),
     ("1,2\n1,2\n\n3,4\n", ": unexpected content after row 1: '3,4'"),
     ("1,2\nx,2\n3,4\n", ": unexpected content after row 1: '3,4'"),
-    # symmetric files: mirrored rows copy the column above instead of parsing it again
+    # symmetric files
     ("3,3\r\n1,2,3\r\n2,5,6\r\n3,6,9\r\n", np.array([[1.0, 2, 3], [2, 5, 6], [3, 6, 9]])),
     ("2,2\r\n1,2\r\n2,4", np.array([[1.0, 2.0], [2.0, 4.0]])),
     ("3,3\n1,1.0,1e0\n1,2,3\n1.0,3,4\n", np.array([[1.0, 1, 1], [1, 2, 3], [1, 3, 4]])),
@@ -251,9 +283,9 @@ def test_matrix_values_use_float_syntax():
 
 
 def test_no_temp_file_left_behind(tmp_path):
-    path = str(tmp_path / "a.csv")
-    sp.save_matrix(np.eye(2), path)
-    assert os.listdir(tmp_path) == ["a.csv"]
+    sp.save_matrix(np.eye(2), str(tmp_path / "a.csv"))
+    sp.save_matrix(np.eye(2), str(tmp_path / "a.npy"))
+    assert sorted(os.listdir(tmp_path)) == ["a.csv", "a.npy"]
 
 
 class _FullDisk:
@@ -290,15 +322,17 @@ def _disk_full_after(nbytes):
 
 
 def test_failed_write_leaves_directory_unchanged(tmp_path, monkeypatch):
-    matrix_path = str(tmp_path / "kernel.csv")
-    sp.save_matrix(np.eye(3), matrix_path)
+    text_path, binary_path = str(tmp_path / "kernel.csv"), str(tmp_path / "kernel.npy")
+    sp.save_matrix(np.eye(3), text_path)
+    sp.save_matrix(np.eye(3), binary_path)
     (tmp_path / "report.txt").write_text("old report\n")
     before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
 
-    monkeypatch.setattr(workbench, "open", _disk_full_after(50), raising=False)
-    for path in (matrix_path, str(tmp_path / "new.csv")):
+    # either file's header fits in 200 bytes; a text row or the binary data does not
+    monkeypatch.setattr(workbench, "open", _disk_full_after(200), raising=False)
+    for path in (text_path, binary_path, str(tmp_path / "new.csv"), str(tmp_path / "new.npy")):
         with pytest.raises(OSError, match="No space"):
-            sp.save_matrix(np.full((40, 40), 1 / 3), path)  # header fits, first row does not
+            sp.save_matrix(np.full((40, 40), 1 / 3), path)
     with pytest.raises(OSError, match="No space"):
         sp.run_experiment(run_cfg(tmp_path, out=str(tmp_path)))  # report.txt is written first
     monkeypatch.undo()
@@ -715,7 +749,7 @@ def test_run_experiment_writes_report_labels_graph(tmp_path):
     out = str(tmp_path / "run")
     labels = sp.load_labels(os.path.join(out, "labels.txt"))
     assert labels.size == 60
-    graph = sp.load_matrix(os.path.join(out, "graph.csv"))
+    graph = sp.load_matrix(os.path.join(out, "graph.npy"))
     assert graph.shape == (60, 60)
     with open(os.path.join(out, "report.txt")) as fh:
         parsed = RunReport.from_text(fh.read())
