@@ -10,10 +10,13 @@ A kernel enters the solvers once, through :func:`as_kernel` (a bank through
 The single-kernel functions and :func:`build_standard_bank` share one value
 helper per family. The bank computes the pairwise distances once for its
 seven gaussians and the Gram product once for its polynomial and linear
-kernels. Each kernel's values are written into a reused scratch buffer,
-symmetrized into the kernel's own buffer and min-max scaled there, so no
-raw kernel outlives its normalized copy. Every bank entry has the bits of
-normalize_kernel applied to the single-kernel function of the same spec.
+kernels, each symmetrized once. Every value helper keeps exact symmetry
+(elementwise maps of a symmetric matrix, the polynomial powers taken on the
+upper triangle and mirrored), so each kernel is written straight into its
+own buffer and min-max scaled there, with no second symmetrization and no
+scratch copy; the linear kernel is the Gram product's buffer, scaled last.
+Every bank entry has the bits of normalize_kernel applied to the
+single-kernel function of the same spec.
 """
 
 from __future__ import annotations
@@ -26,7 +29,14 @@ from typing import Optional
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .numerics import _check_integer_labels, _square, _symmetric_part, check_finite
+from .numerics import (
+    _BLOCK_ROWS,
+    _check_integer_labels,
+    _mirror_upper,
+    _square,
+    _symmetric_part,
+    check_finite,
+)
 
 # Standard bank layout: seven gaussian scales (ascending), four polynomial
 # (a, b) pairs in lexicographic order, one linear kernel. Order is fixed so
@@ -108,6 +118,14 @@ class KernelMatrix:
         # construction guarantees exact symmetry, in a new buffer
         self.values = _symmetric_part(_square(self.values, "kernel matrix"))
 
+    @classmethod
+    def _of_symmetric(cls, values: np.ndarray, spec: Optional[KernelSpec]) -> "KernelMatrix":
+        """A KernelMatrix holding values as they are: the caller has made them
+        finite and exactly symmetric, so they are neither checked nor copied."""
+        K = cls.__new__(cls)
+        K.values, K.spec = values, spec
+        return K
+
     @property
     def order(self) -> int:
         return self.values.shape[0]
@@ -120,7 +138,8 @@ def as_kernel(K) -> KernelMatrix:
         return K
     A = np.asarray(K, dtype=float)
     kernel = KernelMatrix(A)
-    asym = np.abs(A - A.T).max() if A.size else 0.0
+    with np.errstate(over="ignore"):  # an asymmetry past the float64 limit reads inf
+        asym = np.abs(A - A.T).max() if A.size else 0.0
     if asym > ASYMMETRY_WARN_TOL:
         warnings.warn(f"symmetrizing kernel matrix with max asymmetry {asym:.3e}", stacklevel=2)
     return kernel
@@ -146,8 +165,14 @@ def pairwise_sq_dist(X: Dataset) -> np.ndarray:
 
 
 def _max_sq_dist(D: np.ndarray) -> float:
-    """d_max^2, the largest squared distance; zero means the kernel is undefined."""
+    """d_max^2, the largest squared distance; zero means the kernel is undefined,
+    and infinity that a squared distance overflowed."""
     d_max_sq = D.max()
+    if d_max_sq == np.inf:
+        raise ValueError(
+            "a squared distance between two samples overflows float64; "
+            "rescale the data for the gaussian kernel"
+        )
     if d_max_sq == 0.0:
         raise ValueError("all samples are identical (d_max = 0); gaussian kernel undefined")
     return d_max_sq
@@ -161,71 +186,89 @@ def _gaussian_values(D: np.ndarray, d_max_sq: float, t: float, out: np.ndarray) 
 
 
 def _polynomial_values(gram: np.ndarray, a: float, b: int, out: np.ndarray) -> np.ndarray:
-    """(a + gram)^b written to out, checked finite: an overflow is reported by
-    check_finite, not warned about."""
+    """(a + gram)^b written to out, which may be gram itself. An overflow is
+    not warned about; the caller checks the values finite.
+
+    The exactly symmetric gram is powered on its upper triangle only, in
+    blocks of _BLOCK_ROWS rows, and mirrored: numpy's power is slow on
+    negative bases, and each entry has the same bits as np.power(a + gram, b)
+    of the whole matrix.
+    """
+    n = gram.shape[0]
     with np.errstate(over="ignore"):
-        np.add(gram, a, out=out)
-        np.power(out, b, out=out)
-    check_finite(out, "polynomial kernel")
-    return out
+        for lo in range(0, n, _BLOCK_ROWS):
+            block = out[lo : lo + _BLOCK_ROWS, lo:]
+            np.add(gram[lo : lo + _BLOCK_ROWS, lo:], a, out=block)
+            np.power(block, b, out=block)
+    return _mirror_upper(out)
 
 
 def _gram(X: Dataset) -> np.ndarray:
-    """Inner products x^T y of all sample pairs."""
-    return X.values.T @ X.values
+    """Inner products x^T y of all sample pairs, exactly symmetric; an inner
+    product that overflows is refused."""
+    with np.errstate(over="ignore"):
+        gram = _symmetric_part(X.values.T @ X.values)
+    if not np.isfinite(gram).all():
+        raise ValueError("an inner product of two samples overflows float64; rescale the data")
+    return gram
 
 
 def gaussian_kernel(X: Dataset, t: float) -> KernelMatrix:
     """exp(-||x - y||^2 / (t * d_max^2)) with d_max the largest pairwise distance."""
     spec = KernelSpec("gaussian", t=t)
     D = pairwise_sq_dist(X)
-    return KernelMatrix(_gaussian_values(D, _max_sq_dist(D), t, out=D), spec=spec)
+    return KernelMatrix._of_symmetric(_gaussian_values(D, _max_sq_dist(D), t, out=D), spec)
 
 
 def polynomial_kernel(X: Dataset, a: float, b: int) -> KernelMatrix:
     """(a + x^T y)^b on all sample pairs; b must be integral (2.0 counts as 2)."""
     spec = KernelSpec("polynomial", a=a, b=b)
     gram = _gram(X)
-    return KernelMatrix(_polynomial_values(gram, a, spec.b, out=gram), spec=spec)
+    check_finite(_polynomial_values(gram, a, spec.b, out=gram), "polynomial kernel")
+    return KernelMatrix._of_symmetric(gram, spec)
 
 
 def linear_kernel(X: Dataset) -> KernelMatrix:
     """Plain inner products x^T y; identical to polynomial with a=0, b=1."""
-    return KernelMatrix(_gram(X), spec=KernelSpec("linear"))
+    return KernelMatrix._of_symmetric(_gram(X), KernelSpec("linear"))
 
 
 def normalize_kernel(K: KernelMatrix) -> KernelMatrix:
     """Min-max scale all entries to [0, 1]; idempotent once normalized."""
-    return _normalized(K.values, K.spec)
+    return _normalized(K.values.copy(), K.spec)
 
 
-def _normalized(raw: np.ndarray, spec: Optional[KernelSpec]) -> KernelMatrix:
-    """raw symmetrized into a fresh buffer, then min-max scaled in that buffer."""
-    K = KernelMatrix(raw, spec=spec)
-    vals = K.values
+def _normalized(vals: np.ndarray, spec: Optional[KernelSpec]) -> KernelMatrix:
+    """A kernel holding vals, exactly symmetric, min-max scaled in place:
+    elementwise, so the result is exactly symmetric too. A non-finite entry
+    shows in the min or the max and is refused by check_finite."""
     lo, hi = vals.min(), vals.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        check_finite(vals, f"{spec.family if spec else 'kernel'} kernel")
     if hi == lo:
         raise ValueError("kernel is constant (max == min); cannot normalize")
+    with np.errstate(over="ignore"):
+        span = hi - lo
+    if span == np.inf:
+        raise ValueError(f"kernel range [{lo:.6g}, {hi:.6g}] overflows float64; cannot normalize")
     vals -= lo
-    vals /= hi - lo
-    return K
+    vals /= span
+    return KernelMatrix._of_symmetric(vals, spec)
 
 
 def build_standard_bank(X: Dataset) -> list[KernelMatrix]:
     """The fixed 12-kernel bank: 7 gaussian, 4 polynomial, 1 linear, all normalized."""
     D = pairwise_sq_dist(X)
     d_max_sq = _max_sq_dist(D)
-    scratch = np.empty_like(D)
     bank = [
-        _normalized(_gaussian_values(D, d_max_sq, t, out=scratch), KernelSpec("gaussian", t=t))
+        _normalized(_gaussian_values(D, d_max_sq, t, out=np.empty_like(D)), KernelSpec("gaussian", t=t))
         for t in GAUSSIAN_T_GRID
     ]
     del D
     gram = _gram(X)
     bank += [
-        _normalized(_polynomial_values(gram, a, b, out=scratch), KernelSpec("polynomial", a=a, b=b))
+        _normalized(_polynomial_values(gram, a, b, out=np.empty_like(gram)), KernelSpec("polynomial", a=a, b=b))
         for a, b in POLYNOMIAL_AB_GRID
     ]
-    del scratch
     bank.append(_normalized(gram, KernelSpec("linear")))
     return bank

@@ -45,10 +45,11 @@ from scipy.linalg.blas import daxpy, ddot, dgemm, dsyrk, dtrsv
 from scipy.linalg.lapack import dpotrf, dpotri
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-# rows of an n x n update done at a time (spd_inverse's mirror, the graph
-# step and spc.kernel_costs); at n = 1000 a block of the target, its scratch
-# and a block of the operand take 1.5 MB, small enough for a 2 MB L2 (32 and
-# 64 rows measured alike on a blocked sum of 12 kernels, 16 and 128 slower)
+# rows of an n x n update done at a time (the triangle mirror, the polynomial
+# kernels' powers, the graph step and spc.kernel_costs); at n = 1000 a block
+# of the target, its scratch and a block of the operand take 1.5 MB, small
+# enough for a 2 MB L2 (32 and 64 rows measured alike on a blocked sum of 12
+# kernels, 16 and 128 slower)
 _BLOCK_ROWS = 64
 
 # the F-step's shift-invert Lanczos (_shift_invert_lanczos) runs ARPACK on
@@ -133,8 +134,24 @@ def _square(A: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def _symmetric_part(A: np.ndarray) -> np.ndarray:
-    """(A + A.T) * 0.5 in one new buffer; the same bits as 0.5 * (A + A.T)."""
-    out = A + A.T
+    """(A + A.T) * 0.5 in one new buffer; the same bits as 0.5 * (A + A.T)
+    wherever that is finite.
+
+    Where a sum of two finite entries overflows (both near the float64
+    limit), they are halved before they are added, which is exact there, so
+    finite input gives finite output and no warning.
+    """
+    try:
+        # the overflow flag costs nothing; a second pass is made only when it is set
+        with np.errstate(over="raise"):
+            out = A + A.T
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            out = A + A.T
+        over = np.isinf(out)
+        out *= 0.5
+        out[over] = 0.5 * A[over] + 0.5 * A.T[over]
+        return out
     out *= 0.5
     return out
 
@@ -203,15 +220,24 @@ def spd_inverse(factor: np.ndarray) -> np.ndarray:
     inv, info = dpotri(factor, lower=1)
     if info != 0:
         raise ValueError(f"dpotri failed with info={info}")
-    # the column-major lower triangle is the row-major upper one; mirror it
-    # down in blocks of rows, so no n x n mask is made
-    out = inv.T
-    n = out.shape[0]
+    # the column-major lower triangle is the row-major upper one
+    return _mirror_upper(inv.T)
+
+
+def _mirror_upper(A: np.ndarray) -> np.ndarray:
+    """A with its upper triangle copied onto the lower one, in place.
+
+    The copy goes in blocks of _BLOCK_ROWS rows, so no n x n mask is made:
+    each block takes the columns left of the diagonal as one transposed
+    copy, and only its diagonal square through a mask.
+    """
+    n = A.shape[0]
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
-        block = out[lo:hi, :hi]
-        np.copyto(block, out[:hi, lo:hi].T, where=np.tri(hi - lo, hi, k=lo - 1, dtype=bool))
-    return out
+        A[lo:hi, :lo] = A[:lo, lo:hi].T
+        square = A[lo:hi, lo:hi]
+        np.copyto(square, square.T.copy(), where=np.tri(hi - lo, k=-1, dtype=bool))
+    return A
 
 
 def _weighted_sum(kernels: list[np.ndarray], weights: np.ndarray, shift: float = 0.0) -> np.ndarray:

@@ -35,6 +35,21 @@ def test_build_kernels_writes_bank_and_manifest(tmp_path):
         assert np.array_equal(back.view(np.uint64), K.values.view(np.uint64)), name
 
 
+def test_build_kernels_near_the_float_limit(tmp_path, capsys):
+    # inner products up to 1.44e308 give a finite linear kernel; a squared
+    # distance that overflows is refused by its cause, and nothing is warned
+    near, far = str(tmp_path / "near.npy"), str(tmp_path / "far.npy")
+    sp.save_matrix(np.array([[1.1e154, 1.2e154]]), near)
+    sp.save_matrix(np.array([[0.0, 1e200, -1e200]]), far)
+    out = str(tmp_path / "k")
+    assert main(["build-kernels", near, "--kernel", "linear", "--out", out]) == 0
+    K = sp.load_matrix(os.path.join(out, "kernel_01.npy"))
+    assert np.isfinite(K).all() and K.min() == 0.0 and K.max() == 1.0
+    capsys.readouterr()
+    assert main(["build-kernels", far, "--kernel", "bank", "--out", out]) == 1
+    assert "squared distance between two samples overflows float64" in capsys.readouterr().err
+
+
 def test_spc_run_reports_and_exits_zero(tmp_path, capsys):
     out = str(tmp_path / "run")
     code = main(

@@ -1,8 +1,10 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+import spclust.kernels
 from spclust import (
     GAUSSIAN_T_GRID,
     POLYNOMIAL_AB_GRID,
@@ -157,6 +159,51 @@ def test_kernel_matrix_exactly_symmetric():
             KernelMatrix(values)
 
 
+def test_symmetric_part_of_finite_values_near_the_limit_stays_finite():
+    # a sum that overflows is halved first, which is exact there; the other
+    # entries keep the bits of 0.5 * (v + v.T)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        K = KernelMatrix(np.array([[1e308, 1.0], [1.0, 1e308]]))
+        assert np.array_equal(K.values, [[1e308, 1.0], [1.0, 1e308]])
+        v = np.array([[1.5e308, 1.7e308, 0.25], [1.3e308, 3.0, -1e308], [0.75, -1.1e308, 1e-310]])
+        with np.errstate(over="ignore"):
+            want = 0.5 * (v + v.T)
+        over = np.isinf(want)
+        assert over.sum() == 5
+        want[over] = (0.5 * v + 0.5 * v.T)[over]
+        assert np.array_equal(KernelMatrix(v).values.view(np.uint64), want.view(np.uint64))
+        with pytest.warns(UserWarning, match="max asymmetry 4.000e"):
+            assert np.array_equal(as_kernel(v).values.view(np.uint64), want.view(np.uint64))
+        with pytest.warns(UserWarning, match="max asymmetry inf"):
+            assert np.array_equal(as_kernel([[1.0, -1.7e308], [1.7e308, 1.0]]).values, np.eye(2))
+        # every inner product is at most 1.44e308; each is one rounded product
+        X = Dataset(np.array([[1.1e154, 1.2e154]]))
+        L = linear_kernel(X)
+        x, y = 1.1e154, 1.2e154
+        assert np.array_equal(L.values, [[x * x, x * y], [x * y, y * y]])
+        N = normalize_kernel(L)
+        assert np.isfinite(N.values).all() and N.values.min() == 0.0 and N.values.max() == 1.0
+
+
+def test_kernel_overflows_are_refused_by_cause():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="inner product of two samples overflows"):
+            linear_kernel(Dataset(np.array([[1e155, 2e155]])))
+        with pytest.raises(ValueError, match=r"kernel range \[-1e\+308, 1e\+308\] overflows"):
+            normalize_kernel(linear_kernel(Dataset(np.array([[1e154, -1e154]]))))
+
+
+def test_overflowing_squared_distance_is_refused_by_name():
+    X = Dataset(np.array([[0.0, 1e200, -1e200]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build in (lambda: gaussian_kernel(X, 1.0), lambda: build_standard_bank(X)):
+            with pytest.raises(ValueError, match="squared distance between two samples overflows"):
+                build()
+
+
 def test_as_kernel_returns_average():
     A = np.array([[1.0, 2.0], [0.0, 1.0]])
     with pytest.warns(UserWarning, match="asymmetry"):
@@ -240,9 +287,9 @@ def test_standard_bank_equals_the_public_path_bit_for_bit(X):
 
 
 def test_standard_bank_memory_budget():
-    # the 12 kernels are 12 n^2 floats; at the peak the build also holds the
-    # distances or the Gram product, one scratch buffer and the kernel being
-    # symmetrized (13.1 n^2), where building each kernel on its own and
+    # the 12 kernels are 12 n^2 floats, the linear one in the Gram product's
+    # buffer; each kernel is written straight into its own buffer, so the
+    # traced peak is 12.26 n^2, where building each kernel on its own and
     # normalizing the finished list peaks at 25.1 n^2
     n = 300
     X = generate_two_moons(n, noise_sigma=0.1, seed=0)
@@ -254,4 +301,55 @@ def test_standard_bank_memory_budget():
     finally:
         tracemalloc.stop()
     assert len(bank) == 12
-    assert (peak - start) / (8 * n * n) <= 16.0
+    assert (peak - start) / (8 * n * n) <= 12.5
+
+
+@pytest.mark.parametrize("n", [40, 130])
+def test_polynomial_triangle_has_the_bits_of_the_whole_power(n):
+    # data with negative inner products, an order below _BLOCK_ROWS and one
+    # that is not a multiple of it; in a new buffer and in place
+    rng = np.random.default_rng(n)
+    X = Dataset(rng.standard_normal((5, n)))
+    G = X.values.T @ X.values
+    assert (G < 0).mean() > 0.3
+    for a, b in POLYNOMIAL_AB_GRID + ((0.5, 3), (-2.0, 5), (1.0, 1)):
+        want = np.power(a + G, b).view(np.uint64)
+        got = spclust.kernels._polynomial_values(G, a, b, out=np.empty_like(G))
+        assert np.array_equal(got.view(np.uint64), want), (a, b)
+        assert np.array_equal(polynomial_kernel(X, a, b).values.view(np.uint64), want), (a, b)
+
+
+def test_standard_bank_kernels_own_their_buffers(monkeypatch):
+    gram, grams = spclust.kernels._gram, []
+
+    def recording_gram(X):
+        grams.append(gram(X))
+        return grams[-1]
+
+    monkeypatch.setattr(spclust.kernels, "_gram", recording_gram)
+    X = Dataset(np.random.default_rng(4).standard_normal((3, 50)))
+    bank = build_standard_bank(X)
+    assert len(grams) == 1
+    for i, K in enumerate(bank):
+        assert K.values.flags.owndata and not np.shares_memory(K.values, X.values)
+        assert all(not np.shares_memory(K.values, other.values) for other in bank[i + 1 :])
+    # the linear kernel is the Gram product, scaled in place once the
+    # polynomial kernels have read it
+    assert all(not np.shares_memory(K.values, grams[0]) for K in bank[:-1])
+    assert bank[-1].values is grams[0]
+
+
+def test_standard_bank_symmetrizes_twice_at_most(monkeypatch):
+    # once for the distances and once for the Gram product; every kernel is
+    # exactly symmetric by construction and is not symmetrized again
+    symmetric_part, calls = spclust.kernels._symmetric_part, []
+
+    def counting(A):
+        calls.append(A.shape)
+        return symmetric_part(A)
+
+    monkeypatch.setattr(spclust.kernels, "_symmetric_part", counting)
+    bank = build_standard_bank(generate_two_moons(60, noise_sigma=0.1, seed=0))
+    assert len(calls) <= 2
+    for K in bank:
+        assert np.array_equal(K.values, K.values.T)
