@@ -4,6 +4,11 @@ Subcommands cover the full loop: generate data (gen-moons), materialize
 kernels (build-kernels), run the single- or multiple-kernel solver (spc,
 mspc), score label files (eval), and draw results (plot).
 
+build-kernels streams the 12-kernel bank through one reused n x n buffer:
+each kernel is written to a temp file before the next one is built in it.
+The files are renamed only once the last kernel is built, kernels.txt last,
+so a build that fails leaves the output directory as it was.
+
 Exit codes: 0 for a converged run, 2 for a run that finished without
 converging, 1 for any error.
 """
@@ -16,6 +21,9 @@ import sys
 from dataclasses import fields
 from typing import get_type_hints
 
+import numpy as np
+
+from . import kernels
 from .workbench import (
     REPORT_METRICS,
     ExperimentConfig,
@@ -31,7 +39,6 @@ from .workbench import (
     load_labels,
     run_experiment,
     save_dataset,
-    save_matrix,
 )
 
 
@@ -98,7 +105,6 @@ def _run_solver(args) -> int:
 
 def _cmd_gen_moons(args) -> int:
     X = generate_two_moons(args.n, noise_sigma=args.noise, seed=args.seed)
-    os.makedirs(args.out, exist_ok=True)
     data_path = os.path.join(args.out, "moons.csv")
     save_dataset(X, data_path)
     print(f"wrote {data_path} and {companion_labels_path(data_path)}")
@@ -107,15 +113,22 @@ def _cmd_gen_moons(args) -> int:
 
 def _cmd_build_kernels(args) -> int:
     X = load_dense_matrix(args.data)
-    bank = build_kernel_choice(X, args.kernel)
-    os.makedirs(args.out, exist_ok=True)
+    if args.kernel == "bank":
+        # one buffer for the bank: each kernel's file is written before the next kernel is built in it
+        bank = kernels._standard_bank(X, out=np.empty((X.n_samples, X.n_samples)))
+    else:
+        bank = build_kernel_choice(X, args.kernel)
     manifest = []
-    for i, K in enumerate(bank, start=1):
-        name = f"kernel_{i:02d}.npy"
-        save_matrix(K.values, os.path.join(args.out, name))
-        manifest.append(f"{name} {kernel_label(K)}")
-    _atomic_write(os.path.join(args.out, "kernels.txt"), [line + "\n" for line in manifest])
-    print(f"wrote {len(bank)} kernel matrices and kernels.txt to {args.out}")
+
+    def files():
+        for i, K in enumerate(bank, start=1):
+            name = f"kernel_{i:02d}.npy"
+            manifest.append(f"{name} {kernel_label(K)}\n")
+            yield os.path.join(args.out, name), K.values
+        yield os.path.join(args.out, "kernels.txt"), manifest
+
+    _atomic_write(files())
+    print(f"wrote {len(manifest)} kernel matrices and kernels.txt to {args.out}")
     return 0
 
 
@@ -130,7 +143,6 @@ def _cmd_plot(args) -> int:
         raise _CliError(
             "no labels to color by; pass a labels file or provide a companion .labels file"
         )
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "scatter.svg")
     emit_scatter_svg(X, X.labels, path)
     print(f"wrote {path}")

@@ -7,16 +7,20 @@ to the [0, 1] range with :func:`normalize_kernel`.
 A kernel enters the solvers once, through :func:`as_kernel` (a bank through
 :func:`as_bank`): a KernelMatrix is trusted, a bare array is symmetrized once.
 
-The single-kernel functions and :func:`build_standard_bank` share one value
-helper per family. The bank computes the pairwise distances once for its
-seven gaussians and the Gram product once for its polynomial and linear
-kernels, each symmetrized once. Every value helper keeps exact symmetry
-(elementwise maps of a symmetric matrix, the polynomial powers taken on the
-upper triangle and mirrored), so each kernel is written straight into its
-own buffer and min-max scaled there, with no second symmetrization and no
-scratch copy; the linear kernel is the Gram product's buffer, scaled last.
-Every bank entry has the bits of normalize_kernel applied to the
-single-kernel function of the same spec.
+The single-kernel functions and the bank share one value helper per
+family. The bank is built in one place, the generator _standard_bank: it
+computes the pairwise distances once for its seven gaussians and the Gram
+product once for its polynomial and linear kernels, each symmetrized once.
+Every value helper keeps exact symmetry (elementwise maps of a symmetric
+matrix, the polynomial powers taken on the upper triangle and mirrored), so
+each kernel is written straight into a buffer and min-max scaled there,
+with no second symmetrization and no scratch copy; the linear kernel is the
+Gram product's buffer, scaled last. The generator yields each kernel when
+it is asked for: :func:`build_standard_bank` gives every kernel a new
+buffer and keeps them all, while ``spclust build-kernels`` passes one
+reused buffer and writes each kernel before the next is built. Every bank
+entry has the bits of normalize_kernel applied to the single-kernel
+function of the same spec.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import numbers
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -180,8 +184,15 @@ def _max_sq_dist(D: np.ndarray) -> float:
 
 def _gaussian_values(D: np.ndarray, d_max_sq: float, t: float, out: np.ndarray) -> np.ndarray:
     """exp(-D / (t * d_max^2)) written to out, which may be D itself."""
-    # D / -(c) has the same bits as -D / c, without the negated copy
-    np.divide(D, -(t * d_max_sq), out=out)
+    with np.errstate(over="ignore"):
+        scale = t * d_max_sq
+    if scale == np.inf:
+        # D / d_max^2 lies in [0, 1], so dividing by it first cannot overflow
+        np.divide(D, d_max_sq, out=out)
+        np.divide(out, -t, out=out)
+    else:
+        # D / -(c) has the same bits as -D / c, without the negated copy
+        np.divide(D, -scale, out=out)
     return np.exp(out, out=out)
 
 
@@ -258,17 +269,26 @@ def _normalized(vals: np.ndarray, spec: Optional[KernelSpec]) -> KernelMatrix:
 
 def build_standard_bank(X: Dataset) -> list[KernelMatrix]:
     """The fixed 12-kernel bank: 7 gaussian, 4 polynomial, 1 linear, all normalized."""
+    return list(_standard_bank(X))
+
+
+def _standard_bank(X: Dataset, out: Optional[np.ndarray] = None) -> Iterator[KernelMatrix]:
+    """The standard bank's 12 normalized kernels in bank order, each built when asked for.
+
+    Without out, every kernel has a new buffer. With out (an n x n float64
+    array), every gaussian and polynomial kernel is written to out, over the
+    kernel before it, so each must be used before the next is asked for. The
+    linear kernel is the Gram product's buffer, scaled in place after the
+    polynomial kernels have read it.
+    """
     D = pairwise_sq_dist(X)
     d_max_sq = _max_sq_dist(D)
-    bank = [
-        _normalized(_gaussian_values(D, d_max_sq, t, out=np.empty_like(D)), KernelSpec("gaussian", t=t))
-        for t in GAUSSIAN_T_GRID
-    ]
+    for t in GAUSSIAN_T_GRID:
+        vals = _gaussian_values(D, d_max_sq, t, out=np.empty_like(D) if out is None else out)
+        yield _normalized(vals, KernelSpec("gaussian", t=t))
     del D
     gram = _gram(X)
-    bank += [
-        _normalized(_polynomial_values(gram, a, b, out=np.empty_like(gram)), KernelSpec("polynomial", a=a, b=b))
-        for a, b in POLYNOMIAL_AB_GRID
-    ]
-    bank.append(_normalized(gram, KernelSpec("linear")))
-    return bank
+    for a, b in POLYNOMIAL_AB_GRID:
+        vals = _polynomial_values(gram, a, b, out=np.empty_like(gram) if out is None else out)
+        yield _normalized(vals, KernelSpec("polynomial", a=a, b=b))
+    yield _normalized(gram, KernelSpec("linear"))

@@ -20,11 +20,14 @@ NaN payloads included. Every other file is text:
 
 All writes go through one write-temp-then-rename step, so readers never see
 a half-written file; a write that fails removes its temp file and leaves the
-target as it was.
+target as it was. The step takes a group of files (build-kernels writes its
+kernels and kernels.txt as one) and renames them only once every one is
+written, so a group appears whole or not at all.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import itertools
 import os
@@ -41,10 +44,10 @@ import numpy as np
 from .kernels import (
     Dataset,
     KernelMatrix,
+    _normalized,
     build_standard_bank,
     gaussian_kernel,
     linear_kernel,
-    normalize_kernel,
     polynomial_kernel,
 )
 from .metrics import Partition, accuracy, nmi, purity
@@ -73,28 +76,45 @@ SVG_PALETTE = (
 )
 
 
-def _atomic_write(path: str, chunks: Union[Iterable[str], np.ndarray]) -> None:
-    """Write text chunks, or an array as a .npy file, to path through a temp file and a rename.
+def _atomic_write(files: Iterable[tuple[str, Union[Iterable[str], np.ndarray]]]) -> None:
+    """Write a group of files, each a (path, chunks) pair, all of them or none.
 
-    Text chunks are written as they come, so a generator is streamed; an
-    array is written in binary by np.save, pickling refused. On any
-    exception the temp file is removed, the target is left as it was and
+    Each file is written to a temp file beside its path as its pair comes:
+    text chunks as they come, so a generator is streamed, and an array as a
+    .npy file by np.save, pickling refused. The pairs are taken one at a
+    time, so a generator that builds each file's content when asked writes
+    one file before it builds the next. A missing parent directory is made
+    for the first file in it. Only after the last pair are the temp files
+    renamed to their paths, in order. On any exception the temp files and
+    the directories made are removed, the targets are left as they were and
     the exception propagates.
     """
-    binary = isinstance(chunks, np.ndarray)
-    tmp = f"{path}.tmp"
+    temps, made = [], []
     try:
-        with open(tmp, "wb" if binary else "w") as fh:
-            if binary:
-                np.save(fh, chunks, allow_pickle=False)
-            else:
-                fh.writelines(chunks)
-        os.replace(tmp, path)
+        for path, chunks in files:
+            missing, parent = [], os.path.dirname(os.path.abspath(path))
+            while not os.path.exists(parent):
+                missing.append(parent)
+                parent = os.path.dirname(parent)
+            for parent in reversed(missing):
+                os.mkdir(parent)
+                made.append(parent)
+            binary = isinstance(chunks, np.ndarray)
+            with open(f"{path}.tmp", "wb" if binary else "w") as fh:
+                temps.append(path)
+                if binary:
+                    np.save(fh, chunks, allow_pickle=False)
+                else:
+                    fh.writelines(chunks)
+        for path in temps:
+            os.replace(f"{path}.tmp", path)
     except BaseException:
-        try:
-            os.remove(tmp)
-        except FileNotFoundError:
-            pass
+        for path in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(f"{path}.tmp")
+        for parent in reversed(made):
+            with contextlib.suppress(OSError):  # not empty once a rename has happened
+                os.rmdir(parent)
         raise
 
 
@@ -205,9 +225,9 @@ def save_matrix(A: np.ndarray, path: str) -> None:
     refuse (not 2-D, a dimension of 0) raises before any file is opened.
     """
     if path.endswith(".npy"):
-        _atomic_write(path, _checked_matrix(np.asarray(A, dtype=float, order="C")))
+        _atomic_write([(path, _checked_matrix(np.asarray(A, dtype=float, order="C")))])
     else:
-        _atomic_write(path, _matrix_lines(A))
+        _atomic_write([(path, _matrix_lines(A))])
 
 
 def load_matrix(path: str) -> np.ndarray:
@@ -242,7 +262,7 @@ def save_labels(labels, path: str) -> None:
     if labels.size == 0:
         raise ValueError(f"{path}: no labels to write; a label file holds at least one")
     _check_integer_labels(labels, f"{path}: ")
-    _atomic_write(path, [f"{int(v)}\n" for v in labels])
+    _atomic_write([(path, [f"{int(v)}\n" for v in labels])])
 
 
 def load_labels(path: str) -> np.ndarray:
@@ -379,14 +399,14 @@ def build_kernel_choice(X: Dataset, choice: str) -> list[KernelMatrix]:
     if choice == "bank":
         return build_standard_bank(X)
     if choice == "linear":
-        return [normalize_kernel(linear_kernel(X))]
-    if choice.startswith("gaussian:"):
+        K = linear_kernel(X)
+    elif choice.startswith("gaussian:"):
         try:
             t = float(choice[len("gaussian:") :])
         except ValueError:
             raise ValueError(f"bad gaussian scale in {choice!r}; expected gaussian:t") from None
-        return [normalize_kernel(gaussian_kernel(X, t))]
-    if choice.startswith("poly:"):
+        K = gaussian_kernel(X, t)
+    elif choice.startswith("poly:"):
         parts = choice[len("poly:") :].split(",")
         if len(parts) != 2:
             raise ValueError(f"bad polynomial parameters in {choice!r}; expected poly:a,b")
@@ -394,10 +414,13 @@ def build_kernel_choice(X: Dataset, choice: str) -> list[KernelMatrix]:
             a, b = float(parts[0]), float(parts[1])  # KernelSpec judges the exponent
         except ValueError:
             raise ValueError(f"bad polynomial parameters in {choice!r}; expected poly:a,b") from None
-        return [normalize_kernel(polynomial_kernel(X, a, b))]
-    raise ValueError(
-        f"kernel choice {choice!r} not understood; use gaussian:t, poly:a,b, linear, or bank"
-    )
+        K = polynomial_kernel(X, a, b)
+    else:
+        raise ValueError(
+            f"kernel choice {choice!r} not understood; use gaussian:t, poly:a,b, linear, or bank"
+        )
+    # nothing else holds the new kernel, so it is scaled in place, with normalize_kernel's bits
+    return [_normalized(K.values, K.spec)]
 
 
 def kernel_label(K: KernelMatrix) -> str:
@@ -565,7 +588,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         trace=result.trace,
         timings={"total_seconds": time.perf_counter() - t0},
     )
-    _atomic_write(os.path.join(cfg.out, "report.txt"), [report.to_text()])
+    _atomic_write([(os.path.join(cfg.out, "report.txt"), [report.to_text()])])
     save_labels(result.labels, os.path.join(cfg.out, "labels.txt"))
     save_matrix(result.graph, os.path.join(cfg.out, "graph.npy"))
     return report
@@ -608,4 +631,4 @@ def emit_scatter_svg(X: Dataset, labels, path: str) -> None:
         color = SVG_PALETTE[int(c) % len(SVG_PALETTE)]
         lines.append(f'<circle cx="{px:.3f}" cy="{py:.3f}" r="3" fill="{color}"/>')
     lines.append("</svg>")
-    _atomic_write(path, [line + "\n" for line in lines])
+    _atomic_write([(path, [line + "\n" for line in lines])])

@@ -1,6 +1,10 @@
+import inspect
 import json
 import os
+import re
+import tracemalloc
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +52,74 @@ def test_build_kernels_near_the_float_limit(tmp_path, capsys):
     capsys.readouterr()
     assert main(["build-kernels", far, "--kernel", "bank", "--out", out]) == 1
     assert "squared distance between two samples overflows float64" in capsys.readouterr().err
+
+
+def test_build_kernels_streams_the_bank_bit_for_bit(tmp_path):
+    # an order that is not a multiple of the polynomial block size
+    data, out = str(tmp_path / "x.npy"), str(tmp_path / "k")
+    X = sp.Dataset(np.random.default_rng(130).standard_normal((3, 130)))
+    sp.save_matrix(X.values, data)
+    assert main(["build-kernels", data, "--out", out]) == 0
+    bank = sp.build_standard_bank(X)
+    for i, K in enumerate(bank, start=1):
+        back = sp.load_matrix(os.path.join(out, f"kernel_{i:02d}.npy"))
+        assert np.array_equal(back.view(np.uint64), K.values.view(np.uint64)), i
+
+
+def test_build_kernels_memory_budget(tmp_path):
+    # one reused kernel buffer, the distances or the Gram product, and the
+    # transient copy that symmetrizes either: a traced peak of 3.2 n^2,
+    # where building the whole bank first peaks at 12.28 n^2
+    n, data = 300, str(tmp_path / "x.npy")
+    sp.save_matrix(sp.generate_two_moons(n, noise_sigma=0.1, seed=0).values, data)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        code = main(["build-kernels", data, "--out", str(tmp_path / "k")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert (peak - start) / (8 * n * n) <= 3.5
+
+
+def test_failed_bank_leaves_the_output_directory_as_it_was(tmp_path, capsys):
+    # the gaussians build, then the squares of the inner products overflow
+    bad, good = str(tmp_path / "bad.npy"), str(tmp_path / "good.npy")
+    sp.save_matrix(np.array([[0.0, 1e80, -1e80, 3e79]]), bad)
+    sp.save_matrix(np.random.default_rng(0).standard_normal((2, 12)), good)
+    out = tmp_path / "o" / "k"
+    assert main(["build-kernels", bad, "--out", str(out)]) == 1
+    assert "polynomial kernel has non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    assert main(["build-kernels", good, "--out", str(out)]) == 0
+    before = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert len(before) == 13
+    assert main(["build-kernels", bad, "--out", str(out)]) == 1
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+
+
+def test_bank_builds_go_through_one_generator(tmp_path, monkeypatch):
+    standard_bank, calls = sp.kernels._standard_bank, []
+
+    def counting(X, out=None):
+        calls.append("new" if out is None else "reused")
+        return standard_bank(X, out)
+
+    monkeypatch.setattr(sp.kernels, "_standard_bank", counting)
+    X = sp.generate_two_moons(20, noise_sigma=0.1, seed=0)
+    sp.build_standard_bank(X)
+    assert calls == ["new"]
+    data = str(tmp_path / "x.npy")
+    sp.save_matrix(X.values, data)
+    assert main(["build-kernels", data, "--out", str(tmp_path / "k")]) == 0
+    assert calls == ["new", "reused"]
+    # and no other code walks the bank's grids
+    grid = re.compile(r"\bin\s+(?:GAUSSIAN_T_GRID|POLYNOMIAL_AB_GRID)\b")
+    sources = sorted(Path(sp.__file__).parent.glob("*.py"))
+    assert [f.name for f in sources for _ in grid.findall(f.read_text())] == ["kernels.py"] * 2
+    body = inspect.getsource(standard_bank)
+    assert "in GAUSSIAN_T_GRID" in body and "in POLYNOMIAL_AB_GRID" in body
 
 
 def test_spc_run_reports_and_exits_zero(tmp_path, capsys):

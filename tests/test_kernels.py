@@ -204,6 +204,24 @@ def test_overflowing_squared_distance_is_refused_by_name():
                 build()
 
 
+def test_gaussian_scale_past_the_float_limit_is_divided_in_two_steps():
+    # t * d_max^2 overflows for t = 100 here, although every gaussian value
+    # lies in [exp(-0.01), 1]; D is divided by d_max^2 first, then by -t
+    X = Dataset(np.array([[0.0, 1.35e153, 0.5e153]]))
+    D = pairwise_sq_dist(X)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        K = gaussian_kernel(X, 100.0)
+        assert np.array_equal(K.values, np.exp(D / D.max() / -100.0))
+        bank = spclust.kernels._standard_bank(X)
+        for t in GAUSSIAN_T_GRID:
+            want = normalize_kernel(gaussian_kernel(X, t)).values
+            assert np.array_equal(next(bank).values.view(np.uint64), want.view(np.uint64)), t
+        # the squares of the inner products overflow, and are refused by name
+        with pytest.raises(ValueError, match="polynomial kernel has non-finite"):
+            next(bank)
+
+
 def test_as_kernel_returns_average():
     A = np.array([[1.0, 2.0], [0.0, 1.0]])
     with pytest.warns(UserWarning, match="asymmetry"):
