@@ -11,11 +11,10 @@ coordinates.
 import numpy as np
 
 import spclust as sp
-from spclust.workbench import kernel_label
 
 data = sp.generate_two_moons(300, noise_sigma=0.08, seed=0)
 bank = sp.build_standard_bank(data)
-print(f"bank of {len(bank)} kernels: {[kernel_label(k) for k in bank]}")
+print(f"bank of {len(bank)} kernels: {[str(k.spec) for k in bank]}")
 
 # alpha = 1 keeps every kernel cost positive on this data, which the
 # closed-form weight update requires; the spectral weight is annealed
@@ -31,7 +30,7 @@ print(f"sum of sqrt(weights): {np.sum(np.sqrt(state.weights)):.12f}  (constraint
 order = np.argsort(state.weights)[::-1]
 print("learned weights, largest first:")
 for i in order[:5]:
-    print(f"  {kernel_label(bank[i]):14s} w = {state.weights[i]:.4f}  cost = {state.costs[i]:.2f}")
+    print(f"  {str(bank[i].spec):14s} w = {state.weights[i]:.4f}  cost = {state.costs[i]:.2f}")
 
 # the weights define one learned kernel H = sum_i w_i K^i; the solver never
 # forms it, and combine_kernels does so on demand

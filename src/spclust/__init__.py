@@ -15,10 +15,8 @@ from .kernels import (
     as_kernel,
     build_standard_bank,
     gaussian_kernel,
-    linear_kernel,
     normalize_kernel,
     pairwise_sq_dist,
-    polynomial_kernel,
 )
 from .metrics import Partition, accuracy, lloyd_kmeans, nmi, purity
 from .mkl import MklState, combine_kernels, kernel_costs, run_mspc, update_weights
@@ -62,10 +60,8 @@ __all__ = [
     "as_kernel",
     "build_standard_bank",
     "gaussian_kernel",
-    "linear_kernel",
     "normalize_kernel",
     "pairwise_sq_dist",
-    "polynomial_kernel",
     "Partition",
     "accuracy",
     "lloyd_kmeans",

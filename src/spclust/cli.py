@@ -4,10 +4,11 @@ Subcommands cover the full loop: generate data (gen-moons), materialize
 kernels (build-kernels), run the single- or multiple-kernel solver (spc,
 mspc), score label files (eval), and draw results (plot).
 
-build-kernels streams the 12-kernel bank through one reused n x n buffer:
-each kernel is written to a temp file before the next one is built in it.
-The files are renamed only once the last kernel is built, kernels.txt last,
-so a build that fails leaves the output directory as it was.
+build-kernels streams every kernel choice: each kernel of the bank is
+written to a temp file before the next one is built, in one reused n x n
+buffer. The files are renamed only once the last kernel is built,
+kernels.txt last, so a build that fails leaves the output directory as it
+was. A malformed --kernel is refused before any data is loaded.
 
 Exit codes: 0 for a converged run, 2 for a run that finished without
 converging, 1 for any error.
@@ -21,8 +22,6 @@ import sys
 from dataclasses import fields
 from typing import get_type_hints
 
-import numpy as np
-
 from . import kernels
 from .workbench import (
     REPORT_METRICS,
@@ -30,11 +29,9 @@ from .workbench import (
     _atomic_write,
     _score_labels,
     _source_kind,
-    build_kernel_choice,
     companion_labels_path,
     emit_scatter_svg,
     generate_two_moons,
-    kernel_label,
     load_dense_matrix,
     load_labels,
     run_experiment,
@@ -53,7 +50,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 _FLAG_HELP = {
-    "kernel": "gaussian:t | poly:a,b | linear | bank",
+    "kernel": kernels.KERNEL_CHOICES,
     "adapt_beta": "double/halve beta until the component count matches --clusters",
     "out": "output directory (default: current)",
 }
@@ -112,18 +109,15 @@ def _cmd_gen_moons(args) -> int:
 
 
 def _cmd_build_kernels(args) -> int:
+    specs = kernels.KernelSpec.parse(args.kernel)
     X = load_dense_matrix(args.data)
-    if args.kernel == "bank":
-        # one buffer for the bank: each kernel's file is written before the next kernel is built in it
-        bank = kernels._standard_bank(X, out=np.empty((X.n_samples, X.n_samples)))
-    else:
-        bank = build_kernel_choice(X, args.kernel)
     manifest = []
 
     def files():
-        for i, K in enumerate(bank, start=1):
+        # each kernel's file is written before the next kernel is built
+        for i, K in enumerate(kernels._kernels(X, specs, stream=True), start=1):
             name = f"kernel_{i:02d}.npy"
-            manifest.append(f"{name} {kernel_label(K)}\n")
+            manifest.append(f"{name} {K.spec}\n")
             yield os.path.join(args.out, name), K.values
         yield os.path.join(args.out, "kernels.txt"), manifest
 
@@ -165,7 +159,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("build-kernels", help="materialize kernel matrices for a dataset")
     p.add_argument("data", help="dense matrix file (columns are samples)")
-    p.add_argument("--kernel", default="bank", metavar="SPEC", help="gaussian:t | poly:a,b | linear | bank")
+    p.add_argument("--kernel", default="bank", metavar="SPEC", help=kernels.KERNEL_CHOICES)
     p.add_argument("--out", default=".", metavar="DIR")
     p.set_defaults(handler=_cmd_build_kernels)
 

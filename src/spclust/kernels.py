@@ -1,4 +1,4 @@
-"""Kernel matrix construction and the 12-kernel standard bank.
+"""Kernel matrix construction, the kernel choice and the 12-kernel standard bank.
 
 Data matrices are laid out feature-major: X has shape (m, n) with one sample
 per column. Kernels are n x n, exactly symmetric, and can be min-max scaled
@@ -7,20 +7,20 @@ to the [0, 1] range with :func:`normalize_kernel`.
 A kernel enters the solvers once, through :func:`as_kernel` (a bank through
 :func:`as_bank`): a KernelMatrix is trusted, a bare array is symmetrized once.
 
-The single-kernel functions and the bank share one value helper per
-family. The bank is built in one place, the generator _standard_bank: it
-computes the pairwise distances once for its seven gaussians and the Gram
+A kernel choice, "gaussian:t", "poly:a,b", "linear" or "bank", is read by
+:meth:`KernelSpec.parse` alone, into specs, and a spec is written back by
+``str(spec)``. Every normalized kernel is built by one generator, _kernels,
+from one value helper per family, shared with the single-kernel functions.
+It computes the pairwise distances once for its gaussians and the Gram
 product once for its polynomial and linear kernels, each symmetrized once.
 Every value helper keeps exact symmetry (elementwise maps of a symmetric
 matrix, the polynomial powers taken on the upper triangle and mirrored), so
 each kernel is written straight into a buffer and min-max scaled there,
-with no second symmetrization and no scratch copy; the linear kernel is the
-Gram product's buffer, scaled last. The generator yields each kernel when
-it is asked for: :func:`build_standard_bank` gives every kernel a new
-buffer and keeps them all, while ``spclust build-kernels`` passes one
-reused buffer and writes each kernel before the next is built. Every bank
-entry has the bits of normalize_kernel applied to the single-kernel
-function of the same spec.
+with no second symmetrization and no scratch copy. The last kernel is
+computed in its source's own buffer, every other one in a new buffer, or
+in one reused buffer when ``spclust build-kernels`` streams them, writing
+each kernel before the next is built. Every kernel has the bits of
+normalize_kernel applied to the single-kernel function of the same spec.
 """
 
 from __future__ import annotations
@@ -47,6 +47,9 @@ from .numerics import (
 # learned weight vectors are comparable across runs.
 GAUSSIAN_T_GRID = (0.01, 0.05, 0.1, 1.0, 10.0, 50.0, 100.0)
 POLYNOMIAL_AB_GRID = ((0.0, 2), (0.0, 4), (1.0, 2), (1.0, 4))
+
+# help text of the --kernel flags; KernelSpec.parse reads each form
+KERNEL_CHOICES = "gaussian:t | poly:a,b | linear | bank"
 
 # a bare kernel array more asymmetric than this is symmetrized with a warning
 ASYMMETRY_WARN_TOL = 1e-8
@@ -105,6 +108,45 @@ class KernelSpec:
             if not (float(self.b).is_integer() and self.b >= 1):
                 raise ValueError(f"polynomial exponent b must be an integer >= 1, got {self.b}")
             object.__setattr__(self, "b", int(self.b))
+
+    @classmethod
+    def parse(cls, text: str) -> tuple["KernelSpec", ...]:
+        """The specs a kernel choice names, the standard bank's 12 for "bank"."""
+        if text == "bank":
+            return _BANK
+        if text == "linear":
+            return (cls("linear"),)
+        if text.startswith("gaussian:"):
+            try:
+                t = float(text[len("gaussian:") :])
+            except ValueError:
+                raise ValueError(f"bad gaussian scale in {text!r}; expected gaussian:t") from None
+            return (cls("gaussian", t=t),)
+        if text.startswith("poly:"):
+            try:
+                a, b = map(float, text[len("poly:") :].split(","))  # __post_init__ judges the exponent
+            except ValueError:
+                raise ValueError(f"bad polynomial parameters in {text!r}; expected poly:a,b") from None
+            return (cls("polynomial", a=a, b=b),)
+        raise ValueError(
+            f"kernel choice {text!r} not understood; use gaussian:t, poly:a,b, linear, or bank"
+        )
+
+    def __str__(self) -> str:
+        """The choice text that parse reads back to this spec."""
+        if self.family == "gaussian":
+            return f"gaussian:{float(self.t)!r}".removesuffix(".0")
+        if self.family == "polynomial":
+            return f"poly:{float(self.a)!r}".removesuffix(".0") + f",{self.b}"
+        return "linear"
+
+
+# the standard bank's specs in bank order, the one walk over its grids
+_BANK = (
+    tuple(KernelSpec("gaussian", t=t) for t in GAUSSIAN_T_GRID)
+    + tuple(KernelSpec("polynomial", a=a, b=b) for a, b in POLYNOMIAL_AB_GRID)
+    + (KernelSpec("linear"),)
+)
 
 
 @dataclass
@@ -269,26 +311,38 @@ def _normalized(vals: np.ndarray, spec: Optional[KernelSpec]) -> KernelMatrix:
 
 def build_standard_bank(X: Dataset) -> list[KernelMatrix]:
     """The fixed 12-kernel bank: 7 gaussian, 4 polynomial, 1 linear, all normalized."""
-    return list(_standard_bank(X))
+    return list(_kernels(X, _BANK))
 
 
-def _standard_bank(X: Dataset, out: Optional[np.ndarray] = None) -> Iterator[KernelMatrix]:
-    """The standard bank's 12 normalized kernels in bank order, each built when asked for.
+def _kernels(X: Dataset, specs: tuple[KernelSpec, ...], stream: bool = False) -> Iterator[KernelMatrix]:
+    """The normalized kernels of specs, in order, each built when asked for.
 
-    Without out, every kernel has a new buffer. With out (an n x n float64
-    array), every gaussian and polynomial kernel is written to out, over the
-    kernel before it, so each must be used before the next is asked for. The
-    linear kernel is the Gram product's buffer, scaled in place after the
-    polynomial kernels have read it.
+    The gaussians read one distance matrix and the other kernels one Gram
+    product, each computed when first needed; the distances are dropped
+    when the Gram product is computed. The last kernel is computed in its
+    source's own buffer. Every other kernel gets a new buffer, or, with
+    stream, one buffer made at the first such kernel and reused by the rest,
+    so each must be used before the next is asked for.
     """
-    D = pairwise_sq_dist(X)
-    d_max_sq = _max_sq_dist(D)
-    for t in GAUSSIAN_T_GRID:
-        vals = _gaussian_values(D, d_max_sq, t, out=np.empty_like(D) if out is None else out)
-        yield _normalized(vals, KernelSpec("gaussian", t=t))
-    del D
-    gram = _gram(X)
-    for a, b in POLYNOMIAL_AB_GRID:
-        vals = _polynomial_values(gram, a, b, out=np.empty_like(gram) if out is None else out)
-        yield _normalized(vals, KernelSpec("polynomial", a=a, b=b))
-    yield _normalized(gram, KernelSpec("linear"))
+    D = gram = reused = None
+    for i, spec in enumerate(specs, start=1):
+        if spec.family == "gaussian":
+            if D is None:
+                D = pairwise_sq_dist(X)
+                d_max_sq = _max_sq_dist(D)
+        elif gram is None:
+            D = None
+            gram = _gram(X)
+        if i == len(specs):
+            out = D if spec.family == "gaussian" else gram
+        elif not stream:
+            out = np.empty((X.n_samples, X.n_samples))
+        else:
+            out = reused = np.empty((X.n_samples, X.n_samples)) if reused is None else reused
+        if spec.family == "gaussian":
+            _gaussian_values(D, d_max_sq, spec.t, out=out)
+        elif spec.family == "polynomial":
+            _polynomial_values(gram, spec.a, spec.b, out=out)
+        elif out is not gram:  # the linear kernel is the Gram product itself
+            np.copyto(out, gram)
+        yield _normalized(out, spec)

@@ -41,15 +41,7 @@ from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
-from .kernels import (
-    Dataset,
-    KernelMatrix,
-    _normalized,
-    build_standard_bank,
-    gaussian_kernel,
-    linear_kernel,
-    polynomial_kernel,
-)
+from .kernels import Dataset, KernelMatrix, KernelSpec, _kernels
 from .metrics import Partition, accuracy, nmi, purity
 from .mkl import run_mspc
 from .numerics import _check_integer_labels
@@ -391,48 +383,8 @@ def resolve_dataset(source: str) -> Dataset:
 
 
 def build_kernel_choice(X: Dataset, choice: str) -> list[KernelMatrix]:
-    """Construct the kernel(s) named by a choice string, all normalized.
-
-    Accepted forms: "bank" (the standard 12), "gaussian:t", "poly:a,b",
-    and "linear".
-    """
-    if choice == "bank":
-        return build_standard_bank(X)
-    if choice == "linear":
-        K = linear_kernel(X)
-    elif choice.startswith("gaussian:"):
-        try:
-            t = float(choice[len("gaussian:") :])
-        except ValueError:
-            raise ValueError(f"bad gaussian scale in {choice!r}; expected gaussian:t") from None
-        K = gaussian_kernel(X, t)
-    elif choice.startswith("poly:"):
-        parts = choice[len("poly:") :].split(",")
-        if len(parts) != 2:
-            raise ValueError(f"bad polynomial parameters in {choice!r}; expected poly:a,b")
-        try:
-            a, b = float(parts[0]), float(parts[1])  # KernelSpec judges the exponent
-        except ValueError:
-            raise ValueError(f"bad polynomial parameters in {choice!r}; expected poly:a,b") from None
-        K = polynomial_kernel(X, a, b)
-    else:
-        raise ValueError(
-            f"kernel choice {choice!r} not understood; use gaussian:t, poly:a,b, linear, or bank"
-        )
-    # nothing else holds the new kernel, so it is scaled in place, with normalize_kernel's bits
-    return [_normalized(K.values, K.spec)]
-
-
-def kernel_label(K: KernelMatrix) -> str:
-    """Short text form of a kernel's parameters, which build_kernel_choice reads back to the same spec."""
-    spec = K.spec
-    if spec is None:
-        return "combined"
-    if spec.family == "gaussian":
-        return f"gaussian:{float(spec.t)!r}".removesuffix(".0")
-    if spec.family == "polynomial":
-        return f"poly:{float(spec.a)!r}".removesuffix(".0") + f",{spec.b}"
-    return "linear"
+    """The normalized kernel(s) a choice string names; see KernelSpec.parse."""
+    return list(_kernels(X, KernelSpec.parse(choice)))
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +396,10 @@ class ExperimentConfig(SpcConfig):
     """Everything one run needs: data source, kernel choice, solver knobs.
 
     ``source`` and ``kernel`` take the same strings as resolve_dataset and
-    build_kernel_choice; the solver fields are inherited from SpcConfig.
+    KernelSpec.parse; the solver fields are inherited from SpcConfig.
     Values may come from a JSON config file, with command-line flags taking
-    precedence. Types, the solver ranges, the mode and the mode/kernel
-    pairing are checked at construction, whatever the values came from.
+    precedence. Types, the solver ranges, the mode, the kernel choice and
+    the mode/kernel pairing are checked at construction, whatever the values came from.
     """
 
     source: str
@@ -465,7 +417,8 @@ class ExperimentConfig(SpcConfig):
         super().__post_init__()
         if self.mode not in ("spc", "mspc"):
             raise ValueError(f"mode must be 'spc' or 'mspc', got {self.mode!r}")
-        if self.mode == "spc" and self.kernel == "bank":
+        specs = KernelSpec.parse(self.kernel)  # a malformed choice fails before any data is loaded
+        if self.mode == "spc" and len(specs) != 1:
             raise ValueError(
                 "mode 'spc' runs on a single kernel; pick gaussian:t, poly:a,b, or linear"
             )

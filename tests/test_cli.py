@@ -64,6 +64,17 @@ def test_build_kernels_streams_the_bank_bit_for_bit(tmp_path):
     for i, K in enumerate(bank, start=1):
         back = sp.load_matrix(os.path.join(out, f"kernel_{i:02d}.npy"))
         assert np.array_equal(back.view(np.uint64), K.values.view(np.uint64)), i
+    # a single choice streams through the same generator: one file and a one-line manifest
+    for choice in ("gaussian:0.5", "poly:1,2", "linear"):
+        out = tmp_path / choice.replace(":", "_")
+        assert main(["build-kernels", data, "--kernel", choice, "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["kernel_01.npy", "kernels.txt"]
+        (K,) = workbench.build_kernel_choice(X, choice)
+        back = sp.load_matrix(str(out / "kernel_01.npy"))
+        assert np.array_equal(back.view(np.uint64), K.values.view(np.uint64)), choice
+        (line,) = (out / "kernels.txt").read_text().splitlines()
+        name, label = line.split()
+        assert name == "kernel_01.npy" and sp.KernelSpec.parse(label) == (K.spec,), choice
 
 
 def test_build_kernels_memory_budget(tmp_path):
@@ -100,26 +111,29 @@ def test_failed_bank_leaves_the_output_directory_as_it_was(tmp_path, capsys):
 
 
 def test_bank_builds_go_through_one_generator(tmp_path, monkeypatch):
-    standard_bank, calls = sp.kernels._standard_bank, []
+    kernels, calls = sp.kernels._kernels, []
 
-    def counting(X, out=None):
-        calls.append("new" if out is None else "reused")
-        return standard_bank(X, out)
+    def counting(X, specs, stream=False):
+        calls.append((len(specs), stream))
+        return kernels(X, specs, stream)
 
-    monkeypatch.setattr(sp.kernels, "_standard_bank", counting)
+    monkeypatch.setattr(sp.kernels, "_kernels", counting)
+    monkeypatch.setattr(workbench, "_kernels", counting)
     X = sp.generate_two_moons(20, noise_sigma=0.1, seed=0)
     sp.build_standard_bank(X)
-    assert calls == ["new"]
+    workbench.build_kernel_choice(X, "gaussian:0.5")
+    assert calls == [(12, False), (1, False)]
     data = str(tmp_path / "x.npy")
     sp.save_matrix(X.values, data)
     assert main(["build-kernels", data, "--out", str(tmp_path / "k")]) == 0
-    assert calls == ["new", "reused"]
-    # and no other code walks the bank's grids
+    assert calls == [(12, False), (1, False), (12, True)]
+    # and no other code walks the bank's grids: the bank's tuple of specs does
     grid = re.compile(r"\bin\s+(?:GAUSSIAN_T_GRID|POLYNOMIAL_AB_GRID)\b")
     sources = sorted(Path(sp.__file__).parent.glob("*.py"))
     assert [f.name for f in sources for _ in grid.findall(f.read_text())] == ["kernels.py"] * 2
-    body = inspect.getsource(standard_bank)
-    assert "in GAUSSIAN_T_GRID" in body and "in POLYNOMIAL_AB_GRID" in body
+    (bank,) = re.findall(r"^_BANK = \(\n.*?^\)$", inspect.getsource(sp.kernels), re.M | re.S)
+    assert len(grid.findall(bank)) == 2
+    assert sp.kernels._BANK is sp.KernelSpec.parse("bank")
 
 
 def test_spc_run_reports_and_exits_zero(tmp_path, capsys):
@@ -327,6 +341,14 @@ def test_bad_source_or_kernel_leaves_no_output_directory(tmp_path, capsys, argv)
     assert main(["spc", *argv, "--out", str(out)]) == 1
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_malformed_kernel_is_refused_before_the_data_loads(tmp_path, capsys):
+    out = tmp_path / "o"
+    for command in ("spc", "mspc", "build-kernels"):
+        assert main([command, "/no/such.csv", "--kernel", "gaussian:x", "--out", str(out)]) == 1
+        assert "bad gaussian scale in 'gaussian:x'" in capsys.readouterr().err, command
+        assert not out.exists()
 
 
 def test_bad_output_path_fails_before_the_solve(tmp_path, monkeypatch, capsys):

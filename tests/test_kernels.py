@@ -15,11 +15,10 @@ from spclust import (
     build_standard_bank,
     gaussian_kernel,
     generate_two_moons,
-    linear_kernel,
     normalize_kernel,
     pairwise_sq_dist,
-    polynomial_kernel,
 )
+from spclust.kernels import linear_kernel, polynomial_kernel
 
 
 def test_dataset_shape_and_labels():
@@ -213,7 +212,7 @@ def test_gaussian_scale_past_the_float_limit_is_divided_in_two_steps():
         warnings.simplefilter("error")
         K = gaussian_kernel(X, 100.0)
         assert np.array_equal(K.values, np.exp(D / D.max() / -100.0))
-        bank = spclust.kernels._standard_bank(X)
+        bank = spclust.kernels._kernels(X, KernelSpec.parse("bank"))
         for t in GAUSSIAN_T_GRID:
             want = normalize_kernel(gaussian_kernel(X, t)).values
             assert np.array_equal(next(bank).values.view(np.uint64), want.view(np.uint64)), t

@@ -18,7 +18,6 @@ from spclust.workbench import (
     build_kernel_choice,
     companion_labels_path,
     format_matrix,
-    kernel_label,
     parse_matrix,
     report_determinism_view,
     resolve_dataset,
@@ -492,15 +491,18 @@ def test_build_kernel_choice():
 
 
 def test_kernel_labels():
+    # str(spec) writes the choice text that KernelSpec.parse reads back to the same spec
     X = sp.generate_two_moons(12, 0.05, seed=0)
-    assert kernel_label(build_kernel_choice(X, "gaussian:10")[0]) == "gaussian:10"
-    assert kernel_label(build_kernel_choice(X, "poly:0,2")[0]) == "poly:0,2"
-    assert kernel_label(build_kernel_choice(X, "linear")[0]) == "linear"
-    assert kernel_label(sp.KernelMatrix(np.eye(2))) == "combined"
-    # every label reads back to the kernel it names
+    assert str(build_kernel_choice(X, "gaussian:10")[0].spec) == "gaussian:10"
+    assert str(build_kernel_choice(X, "poly:0,2")[0].spec) == "poly:0,2"
+    assert str(build_kernel_choice(X, "linear")[0].spec) == "linear"
+    bank = sp.KernelSpec.parse("bank")
+    assert len(bank) == 12
+    for spec in bank:
+        assert sp.KernelSpec.parse(str(spec)) == (spec,), spec
     for choice in ("gaussian:0.0123456789", "gaussian:1e-5", f"gaussian:{1 / 3!r}", "poly:0.123456789,3", "poly:-0.5,1"):
         (K,) = build_kernel_choice(X, choice)
-        assert build_kernel_choice(X, kernel_label(K))[0].spec == K.spec, choice
+        assert sp.KernelSpec.parse(str(K.spec)) == (K.spec,), choice
 
 
 # --- configuration --------------------------------------------------------------------------
@@ -783,6 +785,13 @@ def test_run_experiment_requires_single_kernel_for_spc(tmp_path, monkeypatch):
     monkeypatch.setattr(workbench, "build_kernel_choice", None)
     with pytest.raises(FileNotFoundError, match="/no/such/file.csv"):
         sp.run_experiment(run_cfg(tmp_path, source="file:/no/such/file.csv"))
+
+
+def test_malformed_kernel_choice_is_refused_when_the_config_is_built():
+    # before any data is loaded: the source names a file that does not exist
+    for mode in ("spc", "mspc"):
+        with pytest.raises(ValueError, match="kernel choice 'rbf:1' not understood"):
+            ExperimentConfig(source="file:/no/such.csv", kernel="rbf:1", mode=mode)
 
 
 def test_metrics_absent_without_ground_truth(tmp_path):
