@@ -20,14 +20,18 @@ NaN payloads included. Every other file is text:
 
 All writes go through one write-temp-then-rename step, so readers never see
 a half-written file; a write that fails removes its temp file and leaves the
-target as it was. The step takes a group of files (build-kernels writes its
-kernels and kernels.txt as one) and renames them only once every one is
-written, so a group appears whole or not at all.
+target as it was. The step takes a group of files and renames them only
+once every one is written, so a group appears whole or not at all; each
+command writes its files as one group (build-kernels its kernels and
+kernels.txt, gen-moons the data and labels, run_experiment the report,
+labels and graph). A run_experiment that fails removes the output
+directories it made.
 """
 
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import itertools
 import os
@@ -76,21 +80,18 @@ def _atomic_write(files: Iterable[tuple[str, Union[Iterable[str], np.ndarray]]])
     .npy file by np.save, pickling refused. The pairs are taken one at a
     time, so a generator that builds each file's content when asked writes
     one file before it builds the next. A missing parent directory is made
-    for the first file in it. Only after the last pair are the temp files
-    renamed to their paths, in order. On any exception the temp files and
-    the directories made are removed, the targets are left as they were and
-    the exception propagates.
+    for the first file in it, and a path that names a directory is refused
+    before its temp file is opened. Only after the last pair are the temp
+    files renamed to their paths, in order. On any exception the temp files
+    and the directories made are removed, the targets are left as they were
+    and the exception propagates.
     """
     temps, made = [], []
     try:
         for path, chunks in files:
-            missing, parent = [], os.path.dirname(os.path.abspath(path))
-            while not os.path.exists(parent):
-                missing.append(parent)
-                parent = os.path.dirname(parent)
-            for parent in reversed(missing):
-                os.mkdir(parent)
-                made.append(parent)
+            _make_dirs(os.path.dirname(os.path.abspath(path)), made)
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
             binary = isinstance(chunks, np.ndarray)
             with open(f"{path}.tmp", "wb" if binary else "w") as fh:
                 temps.append(path)
@@ -104,10 +105,29 @@ def _atomic_write(files: Iterable[tuple[str, Union[Iterable[str], np.ndarray]]])
         for path in temps:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(f"{path}.tmp")
-        for parent in reversed(made):
-            with contextlib.suppress(OSError):  # not empty once a rename has happened
-                os.rmdir(parent)
+        _remove_dirs(made)
         raise
+
+
+def _make_dirs(directory: str, made: list[str]) -> None:
+    """Make directory and its missing parents, appending each one made to made;
+    a directory that names anything else raises NotADirectoryError."""
+    missing, parent = [], os.path.abspath(directory)
+    while not os.path.exists(parent):
+        missing.append(parent)
+        parent = os.path.dirname(parent)
+    for parent in reversed(missing):
+        os.mkdir(parent)
+        made.append(parent)
+    if not os.path.isdir(directory):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), directory)
+
+
+def _remove_dirs(made: list[str]) -> None:
+    """Remove the directories _make_dirs made, innermost first, each only if empty."""
+    for parent in reversed(made):
+        with contextlib.suppress(OSError):  # not empty once a rename has happened
+            os.rmdir(parent)
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +236,14 @@ def save_matrix(A: np.ndarray, path: str) -> None:
     file appears by temp-then-rename, and a matrix that load_matrix would
     refuse (not 2-D, a dimension of 0) raises before any file is opened.
     """
+    _atomic_write([_matrix_file(A, path)])
+
+
+def _matrix_file(A: np.ndarray, path: str) -> tuple[str, Union[Iterator[str], np.ndarray]]:
+    # save_matrix's (path, content) pair for _atomic_write, A checked now
     if path.endswith(".npy"):
-        _atomic_write([(path, _checked_matrix(np.asarray(A, dtype=float, order="C")))])
-    else:
-        _atomic_write([(path, _matrix_lines(A))])
+        return path, _checked_matrix(np.asarray(A, dtype=float, order="C"))
+    return path, _matrix_lines(A)
 
 
 def load_matrix(path: str) -> np.ndarray:
@@ -250,11 +274,16 @@ def save_labels(labels, path: str) -> None:
     an integer (1.7, nan, a string) raise ValueError before any file is
     opened. Integral floats are written as integers.
     """
+    _atomic_write([_labels_file(labels, path)])
+
+
+def _labels_file(labels, path: str) -> tuple[str, list[str]]:
+    # save_labels' (path, lines) pair for _atomic_write, the labels checked now
     labels = np.asarray(labels).ravel()
     if labels.size == 0:
         raise ValueError(f"{path}: no labels to write; a label file holds at least one")
     _check_integer_labels(labels, f"{path}: ")
-    _atomic_write([(path, [f"{int(v)}\n" for v in labels])])
+    return path, [f"{int(v)}\n" for v in labels]
 
 
 def load_labels(path: str) -> np.ndarray:
@@ -301,10 +330,11 @@ def load_dense_matrix(path: str, labels_path: Optional[str] = None) -> Dataset:
 
 
 def save_dataset(X: Dataset, path: str) -> None:
-    """Write the data matrix, plus the companion label file when labels exist."""
-    save_matrix(X.values, path)
-    if X.labels is not None:
-        save_labels(X.labels, companion_labels_path(path))
+    """Write the data matrix, plus the companion label file when labels exist, as one group."""
+    if X.labels is None:
+        save_matrix(X.values, path)
+    else:
+        _atomic_write([_matrix_file(X.values, path), _labels_file(X.labels, companion_labels_path(path))])
 
 
 # ---------------------------------------------------------------------------
@@ -518,32 +548,44 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Run one configured experiment and write its artifacts.
 
     Writes report.txt, labels.txt, and graph.npy (the learned affinity
-    matrix, see save_matrix) into cfg.out. Metrics are computed only when the dataset
-    carries ground-truth labels.
+    matrix, see save_matrix) into cfg.out as one group. Metrics are computed
+    only when the dataset carries ground-truth labels. The kernel choice was
+    checked when cfg was built; cfg.out is made once the data are loaded and
+    the kernels built, and removed again, with any parent made for it, if
+    anything after that raises.
     """
     t0 = time.perf_counter()
     X = resolve_dataset(cfg.source)
     bank = build_kernel_choice(X, cfg.kernel)
-    os.makedirs(cfg.out, exist_ok=True)  # a bad output path fails before the solve
-    if cfg.mode == "spc":
-        result = run_spc(bank[0], cfg)
-        weights = None
-    else:
-        result, state = run_mspc(bank, cfg)
-        weights = [float(w) for w in state.weights]
+    made = []
+    try:
+        _make_dirs(cfg.out, made)  # a bad output path fails before the solve
+        if cfg.mode == "spc":
+            result = run_spc(bank[0], cfg)
+            weights = None
+        else:
+            result, state = run_mspc(bank, cfg)
+            weights = [float(w) for w in state.weights]
 
-    report = RunReport(
-        config=asdict(cfg),
-        converged=result.converged,
-        components=result.component_count,
-        metrics=None if X.labels is None else _score_labels(result.labels, X.labels),
-        weights=weights,
-        trace=result.trace,
-        timings={"total_seconds": time.perf_counter() - t0},
-    )
-    _atomic_write([(os.path.join(cfg.out, "report.txt"), [report.to_text()])])
-    save_labels(result.labels, os.path.join(cfg.out, "labels.txt"))
-    save_matrix(result.graph, os.path.join(cfg.out, "graph.npy"))
+        report = RunReport(
+            config=asdict(cfg),
+            converged=result.converged,
+            components=result.component_count,
+            metrics=None if X.labels is None else _score_labels(result.labels, X.labels),
+            weights=weights,
+            trace=result.trace,
+            timings={"total_seconds": time.perf_counter() - t0},
+        )
+        _atomic_write(
+            [
+                (os.path.join(cfg.out, "report.txt"), [report.to_text()]),
+                _labels_file(result.labels, os.path.join(cfg.out, "labels.txt")),
+                _matrix_file(result.graph, os.path.join(cfg.out, "graph.npy")),
+            ]
+        )
+    except BaseException:
+        _remove_dirs(made)
+        raise
     return report
 
 

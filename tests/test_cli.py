@@ -343,12 +343,53 @@ def test_bad_source_or_kernel_leaves_no_output_directory(tmp_path, capsys, argv)
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["mspc", "moons:n=40", "--alpha", "50", "--max-iters", "3"], "kernel cost h[0] = -40721.5"),
+        (["spc", "moons:n=40", "--kernel", "linear", "--gamma", "1e-300"], "non-positive pivot"),
+        (["spc", "{csv}", "--kernel", "gaussian:0.1", "--clusters", "50"], "clusters=50 exceeds"),
+    ],
+    ids=["kernel-cost", "pivot", "clusters"],
+)
+def test_failed_solve_leaves_no_output_directory(tmp_path, capsys, argv, message):
+    csv = tmp_path / "x.csv"
+    sp.save_matrix(sp.generate_two_moons(40, noise_sigma=0.08, seed=0).values, str(csv))
+    argv = [arg.format(csv=csv) for arg in argv]
+    out = tmp_path / "o" / "run"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    # a directory that was there before stays, as it was
+    out.mkdir(parents=True)
+    (out / "keep.txt").write_text("kept\n")
+    assert main([*argv, "--out", str(out)]) == 1
+    assert os.listdir(out) == ["keep.txt"]
+
+
 def test_malformed_kernel_is_refused_before_the_data_loads(tmp_path, capsys):
     out = tmp_path / "o"
     for command in ("spc", "mspc", "build-kernels"):
         assert main([command, "/no/such.csv", "--kernel", "gaussian:x", "--out", str(out)]) == 1
         assert "bad gaussian scale in 'gaussian:x'" in capsys.readouterr().err, command
         assert not out.exists()
+
+
+def test_gen_moons_writes_its_files_as_one_group(tmp_path, capsys):
+    out = tmp_path / "gm"
+    (out / "moons.labels").mkdir(parents=True)
+    assert main(["gen-moons", "--n", "20", "--out", str(out)]) == 1
+    assert "moons.labels" in capsys.readouterr().err
+    assert os.listdir(out) == ["moons.labels"]
+
+
+def test_solver_writes_its_files_as_one_group(tmp_path, capsys):
+    out = tmp_path / "rr"
+    (out / "graph.npy").mkdir(parents=True)
+    argv = ["spc", "moons:n=40", "--kernel", "gaussian:0.1", "--max-iters", "3", "--out", str(out)]
+    assert main(argv) == 1
+    assert "graph.npy" in capsys.readouterr().err
+    assert os.listdir(out) == ["graph.npy"]
 
 
 def test_bad_output_path_fails_before_the_solve(tmp_path, monkeypatch, capsys):
