@@ -119,7 +119,7 @@ def _cmd_build_kernels(args) -> int:
             name = f"kernel_{i:02d}.npy"
             manifest.append(f"{name} {K.spec}\n")
             yield os.path.join(args.out, name), K.values
-        yield os.path.join(args.out, "kernels.txt"), manifest
+        yield os.path.join(args.out, "kernels.txt"), "".join(manifest)
 
     _atomic_write(files())
     print(f"wrote {len(manifest)} kernel matrices and kernels.txt to {args.out}")

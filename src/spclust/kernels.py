@@ -51,7 +51,8 @@ POLYNOMIAL_AB_GRID = ((0.0, 2), (0.0, 4), (1.0, 2), (1.0, 4))
 # help text of the --kernel flags; KernelSpec.parse reads each form
 KERNEL_CHOICES = "gaussian:t | poly:a,b | linear | bank"
 
-# a bare kernel array more asymmetric than this is symmetrized with a warning
+# a bare kernel array whose max|K - K'| exceeds this fraction of max|K| is
+# symmetrized with a warning, so rounding alone is quiet at any scale
 ASYMMETRY_WARN_TOL = 1e-8
 
 
@@ -179,14 +180,14 @@ class KernelMatrix:
 
 def as_kernel(K) -> KernelMatrix:
     """K as a KernelMatrix: one returned as it is, or a bare array checked and
-    symmetrized once, with a warning above ASYMMETRY_WARN_TOL."""
+    symmetrized once, with a warning above ASYMMETRY_WARN_TOL relative to max|K|."""
     if isinstance(K, KernelMatrix):
         return K
     A = np.asarray(K, dtype=float)
     kernel = KernelMatrix(A)
     with np.errstate(over="ignore"):  # an asymmetry past the float64 limit reads inf
-        asym = np.abs(A - A.T).max() if A.size else 0.0
-    if asym > ASYMMETRY_WARN_TOL:
+        asym, scale = (np.abs(A - A.T).max(), np.abs(A).max()) if A.size else (0.0, 0.0)
+    if asym > ASYMMETRY_WARN_TOL * scale:
         warnings.warn(f"symmetrizing kernel matrix with max asymmetry {asym:.3e}", stacklevel=2)
     return kernel
 

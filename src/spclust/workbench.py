@@ -11,8 +11,7 @@ NaN payloads included. Every other file is text:
 - dense matrix (any other name): header line "rows,cols", then one
   comma-separated line per row, values printed with 17 significant digits
   so float64 round-trips exactly (every NaN reads back as the canonical
-  one); data files use it, and are streamed one row at a time in both
-  directions;
+  one); data files use it, written and read as one whole text;
 - labels: one integer per line;
 - run report: one JSON object ("spc-report/3"), floats as their repr, so
   every value reads back bit for bit; its schema is the field annotations
@@ -32,20 +31,17 @@ from __future__ import annotations
 
 import contextlib
 import errno
-import io
-import itertools
 import os
 import json
 import math
 import numbers
 import time
-from array import array
 from dataclasses import asdict, dataclass, field, fields as dataclass_fields
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .kernels import Dataset, KernelMatrix, KernelSpec, _kernels
+from .kernels import Dataset, KernelSpec, _kernels
 from .metrics import Partition, accuracy, nmi, purity
 from .mkl import run_mspc
 from .numerics import _check_integer_labels
@@ -72,14 +68,14 @@ SVG_PALETTE = (
 )
 
 
-def _atomic_write(files: Iterable[tuple[str, Union[Iterable[str], np.ndarray]]]) -> None:
-    """Write a group of files, each a (path, chunks) pair, all of them or none.
+def _atomic_write(files: Iterable[tuple[str, Union[str, np.ndarray]]]) -> None:
+    """Write a group of files, each a (path, content) pair, all of them or none.
 
     Each file is written to a temp file beside its path as its pair comes:
-    text chunks as they come, so a generator is streamed, and an array as a
-    .npy file by np.save, pickling refused. The pairs are taken one at a
-    time, so a generator that builds each file's content when asked writes
-    one file before it builds the next. A missing parent directory is made
+    a string as text in one write, and an array as a .npy file by np.save,
+    pickling refused. The pairs are taken one at a time, so a generator
+    that builds each file's content when asked writes one file before it
+    builds the next. A missing parent directory is made
     for the first file in it, and a path that names a directory is refused
     before its temp file is opened. Only after the last pair are the temp
     files renamed to their paths, in order. On any exception the temp files
@@ -88,17 +84,17 @@ def _atomic_write(files: Iterable[tuple[str, Union[Iterable[str], np.ndarray]]])
     """
     temps, made = [], []
     try:
-        for path, chunks in files:
+        for path, content in files:
             _make_dirs(os.path.dirname(os.path.abspath(path)), made)
             if os.path.isdir(path):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-            binary = isinstance(chunks, np.ndarray)
+            binary = isinstance(content, np.ndarray)
             with open(f"{path}.tmp", "wb" if binary else "w") as fh:
                 temps.append(path)
                 if binary:
-                    np.save(fh, chunks, allow_pickle=False)
+                    np.save(fh, content, allow_pickle=False)
                 else:
-                    fh.writelines(chunks)
+                    fh.write(content)
         for path in temps:
             os.replace(f"{path}.tmp", path)
     except BaseException:
@@ -143,34 +139,29 @@ def _checked_matrix(A: np.ndarray, prefix: str = "") -> np.ndarray:
     return A
 
 
-def _matrix_lines(A: np.ndarray) -> Iterator[str]:
-    # checks run now, before any caller opens a file; rows are formatted lazily
-    A = _checked_matrix(np.asarray(A, dtype=float))
-    rows = (",".join(["%.17g" % v for v in row.tolist()]) + "\n" for row in A)
-    return itertools.chain([f"{A.shape[0]},{A.shape[1]}\n"], rows)
-
-
 def format_matrix(A: np.ndarray) -> str:
     """Matrix file text: "rows,cols", then one line per row, values as %.17g.
 
-    The text is the join of the lines save_matrix streams to a text file,
-    so the two give the same bytes. Raises ValueError for anything but a
-    2-D matrix with both dimensions positive.
+    These are the bytes save_matrix writes to a text file. Raises
+    ValueError for anything but a 2-D matrix with both dimensions positive.
     """
-    return "".join(_matrix_lines(A))
+    A = _checked_matrix(np.asarray(A, dtype=float))
+    rows = [",".join(["%.17g" % v for v in row]) for row in A.tolist()]
+    return "\n".join([f"{A.shape[0]},{A.shape[1]}", *rows]) + "\n"
 
 
-def _read_matrix(lines: Iterator[str], source: str) -> np.ndarray:
-    """The one text matrix parser: consumes a file's lines (newline-terminated) one by one.
+def parse_matrix(text: str, source: str = "<string>") -> np.ndarray:
+    """Parse matrix file text, the inverse of format_matrix; errors name source.
 
-    Values use Python's float syntax. The first fault found is reported in
-    this order: header, too few data lines, content after the last row,
-    then the first malformed row, with its line and column numbers.
+    Lines end at \\n, \\r\\n or \\r, as a file read in text mode splits them,
+    and values use Python's float syntax. The first fault found is
+    reported in this order: header, too few data lines, content after the
+    last row, then the first malformed row, with its line and column
+    numbers. Nothing is sized from the header alone.
     """
-    header = next(lines, None)
-    if header is None:
+    if not text:
         raise ValueError(f"{source}: empty matrix file")
-    header = header.rstrip("\n")
+    header, *data = text.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n").split("\n")
     head = header.split(",")
     if len(head) != 2:
         raise ValueError(f"{source}, line 1: header must be 'rows,cols', got {header!r}")
@@ -180,70 +171,43 @@ def _read_matrix(lines: Iterator[str], source: str) -> np.ndarray:
         raise ValueError(f"{source}, line 1: header must be two integers, got {header!r}") from None
     if rows < 1 or cols < 1:
         raise ValueError(f"{source}, line 1: dimensions must be positive, got {rows}x{cols}")
-    values = array("d")  # grows with the rows read: a header alone allocates nothing
-    bad_row = None  # message for the first malformed row, raised once the line count is known
-    data_lines = 0
-    for data_lines, line in enumerate(lines, start=1):
-        if data_lines > rows:
-            if line.strip():
-                extra = line.rstrip("\n")
-                raise ValueError(f"{source}: unexpected content after row {rows}: {extra!r}")
-        elif bad_row is None:
-            fault = _read_row(values, cols, line.rstrip("\n"))
-            if fault is not None:
-                bad_row = f"{source}, line {data_lines + 1}{fault}"
-    if data_lines < rows:
-        raise ValueError(f"{source}: header promises {rows} rows, file has {data_lines} data lines")
-    if bad_row is not None:
-        raise ValueError(bad_row)
+    if len(data) < rows:
+        raise ValueError(f"{source}: header promises {rows} rows, file has {len(data)} data lines")
+    for extra in data[rows:]:
+        if extra.strip():
+            raise ValueError(f"{source}: unexpected content after row {rows}: {extra!r}")
+    values = []
+    for lineno, line in enumerate(data[:rows], start=2):
+        parts = line.split(",")
+        if len(parts) != cols:
+            raise ValueError(f"{source}, line {lineno}: expected {cols} values, got {len(parts)}")
+        try:
+            values.extend(map(float, parts))
+        except ValueError:
+            for c, part in enumerate(parts, start=1):
+                try:
+                    float(part)
+                except ValueError:
+                    raise ValueError(f"{source}, line {lineno}, column {c}: {part.strip()!r} is not a number") from None
+            raise
     return np.array(values).reshape(rows, cols)
-
-
-def _read_row(values: array, cols: int, line: str) -> Optional[str]:
-    # appends the line's values, or returns what is wrong with the line (values
-    # may then hold part of the row, but a parse with a bad row never returns them)
-    parts = line.split(",")
-    if len(parts) != cols:
-        return f": expected {cols} values, got {len(parts)}"
-    try:
-        values.extend(map(float, parts))
-    except ValueError:
-        for c, part in enumerate(parts, start=1):
-            try:
-                float(part)
-            except ValueError:
-                return f", column {c}: {part.strip()!r} is not a number"
-        raise
-    return None
-
-
-def parse_matrix(text: str, source: str = "<string>") -> np.ndarray:
-    """Parse matrix file text; the inverse of format_matrix.
-
-    Runs the parser load_matrix runs on a text file, over the text's lines
-    split as a file read in text mode splits them (\\n, \\r\\n or \\r), so
-    both accept the same content and raise the same errors. Errors name
-    source, line and column.
-    """
-    return _read_matrix(io.StringIO(text, newline=None), source)
 
 
 def save_matrix(A: np.ndarray, path: str) -> None:
     """Write a matrix file: .npy for a path ending in ".npy", text otherwise.
 
-    The matrix is taken as float64, C-ordered. A text file streams one
-    formatted row at a time and its bytes equal format_matrix(A). Either
-    file appears by temp-then-rename, and a matrix that load_matrix would
+    The matrix is taken as float64, C-ordered. A text file's bytes are
+    format_matrix(A), written in one piece. Either file appears by temp-then-rename, and a matrix that load_matrix would
     refuse (not 2-D, a dimension of 0) raises before any file is opened.
     """
     _atomic_write([_matrix_file(A, path)])
 
 
-def _matrix_file(A: np.ndarray, path: str) -> tuple[str, Union[Iterator[str], np.ndarray]]:
+def _matrix_file(A: np.ndarray, path: str) -> tuple[str, Union[str, np.ndarray]]:
     # save_matrix's (path, content) pair for _atomic_write, A checked now
     if path.endswith(".npy"):
         return path, _checked_matrix(np.asarray(A, dtype=float, order="C"))
-    return path, _matrix_lines(A)
+    return path, format_matrix(A)
 
 
 def load_matrix(path: str) -> np.ndarray:
@@ -251,11 +215,11 @@ def load_matrix(path: str) -> np.ndarray:
 
     A path ending in ".npy" is read by np.load, pickling refused, and must
     hold a 2-D float64 array with both dimensions positive. Any other path
-    is text, read row by row from the open file by parse_matrix's parser.
+    is text, read whole and parsed by parse_matrix.
     """
     if not path.endswith(".npy"):
         with open(path) as fh:
-            return _read_matrix(fh, path)
+            return parse_matrix(fh.read(), path)
     with open(path, "rb") as fh:
         try:
             A = np.load(fh, allow_pickle=False)
@@ -277,13 +241,13 @@ def save_labels(labels, path: str) -> None:
     _atomic_write([_labels_file(labels, path)])
 
 
-def _labels_file(labels, path: str) -> tuple[str, list[str]]:
-    # save_labels' (path, lines) pair for _atomic_write, the labels checked now
+def _labels_file(labels, path: str) -> tuple[str, str]:
+    # save_labels' (path, text) pair for _atomic_write, the labels checked now
     labels = np.asarray(labels).ravel()
     if labels.size == 0:
         raise ValueError(f"{path}: no labels to write; a label file holds at least one")
     _check_integer_labels(labels, f"{path}: ")
-    return path, [f"{int(v)}\n" for v in labels]
+    return path, "".join(f"{int(v)}\n" for v in labels)
 
 
 def load_labels(path: str) -> np.ndarray:
@@ -365,7 +329,7 @@ def generate_two_moons(n: int, noise_sigma: float = 0.08, seed: int = 0) -> Data
 
 
 # ---------------------------------------------------------------------------
-# dataset sources and kernel choices (shared by config file and CLI)
+# dataset sources (shared by config file and CLI)
 
 
 def _source_kind(source: str) -> Optional[str]:
@@ -410,11 +374,6 @@ def resolve_dataset(source: str) -> Dataset:
     raise ValueError(
         f"dataset source {source!r} not understood; use 'file:PATH' or 'moons:n=...,noise=...,seed=...'"
     )
-
-
-def build_kernel_choice(X: Dataset, choice: str) -> list[KernelMatrix]:
-    """The normalized kernel(s) a choice string names; see KernelSpec.parse."""
-    return list(_kernels(X, KernelSpec.parse(choice)))
 
 
 # ---------------------------------------------------------------------------
@@ -531,13 +490,6 @@ class RunReport:
         return cls(**{**data, "trace": SpcTrace(**data["trace"])})
 
 
-def report_determinism_view(text: str) -> str:
-    """Report text without its clock readings, the timings and the trace's wall_time, for run-to-run diffs."""
-    view = asdict(RunReport.from_text(text))
-    del view["timings"], view["trace"]["wall_time"]
-    return json.dumps(view) + "\n"
-
-
 def _score_labels(pred, truth) -> dict[str, float]:
     """The REPORT_METRICS of predicted labels against ground-truth labels."""
     pred, truth = Partition.from_labels(pred), Partition.from_labels(truth)
@@ -556,7 +508,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """
     t0 = time.perf_counter()
     X = resolve_dataset(cfg.source)
-    bank = build_kernel_choice(X, cfg.kernel)
+    bank = list(_kernels(X, KernelSpec.parse(cfg.kernel)))
     made = []
     try:
         _make_dirs(cfg.out, made)  # a bad output path fails before the solve
@@ -578,7 +530,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         )
         _atomic_write(
             [
-                (os.path.join(cfg.out, "report.txt"), [report.to_text()]),
+                (os.path.join(cfg.out, "report.txt"), report.to_text()),
                 _labels_file(result.labels, os.path.join(cfg.out, "labels.txt")),
                 _matrix_file(result.graph, os.path.join(cfg.out, "graph.npy")),
             ]
@@ -626,4 +578,4 @@ def emit_scatter_svg(X: Dataset, labels, path: str) -> None:
         color = SVG_PALETTE[int(c) % len(SVG_PALETTE)]
         lines.append(f'<circle cx="{px:.3f}" cy="{py:.3f}" r="3" fill="{color}"/>')
     lines.append("</svg>")
-    _atomic_write([(path, [line + "\n" for line in lines])])
+    _atomic_write([(path, "\n".join(lines) + "\n")])

@@ -69,7 +69,7 @@ def test_build_kernels_streams_the_bank_bit_for_bit(tmp_path):
         out = tmp_path / choice.replace(":", "_")
         assert main(["build-kernels", data, "--kernel", choice, "--out", str(out)]) == 0
         assert sorted(os.listdir(out)) == ["kernel_01.npy", "kernels.txt"]
-        (K,) = workbench.build_kernel_choice(X, choice)
+        (K,) = sp.kernels._kernels(X, sp.KernelSpec.parse(choice))
         back = sp.load_matrix(str(out / "kernel_01.npy"))
         assert np.array_equal(back.view(np.uint64), K.values.view(np.uint64)), choice
         (line,) = (out / "kernels.txt").read_text().splitlines()
@@ -120,11 +120,11 @@ def test_bank_builds_go_through_one_generator(tmp_path, monkeypatch):
     monkeypatch.setattr(sp.kernels, "_kernels", counting)
     monkeypatch.setattr(workbench, "_kernels", counting)
     X = sp.generate_two_moons(20, noise_sigma=0.1, seed=0)
-    sp.build_standard_bank(X)
-    workbench.build_kernel_choice(X, "gaussian:0.5")
-    assert calls == [(12, False), (1, False)]
     data = str(tmp_path / "x.npy")
     sp.save_matrix(X.values, data)
+    sp.build_standard_bank(X)
+    assert main(["spc", data, "--kernel", "gaussian:0.5", "--out", str(tmp_path / "r")]) == 0
+    assert calls == [(12, False), (1, False)]
     assert main(["build-kernels", data, "--out", str(tmp_path / "k")]) == 0
     assert calls == [(12, False), (1, False), (12, True)]
     # and no other code walks the bank's grids: the bank's tuple of specs does

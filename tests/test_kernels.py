@@ -238,6 +238,20 @@ def test_as_kernel_quiet_below_tolerance():
         as_kernel(A)
 
 
+def test_as_kernel_tolerance_scales_with_the_kernel():
+    # Q G Q' is symmetric up to rounding at any scale: a relative asymmetry
+    # near 1e-16 stays quiet, though entries near 3e9 make it absolute 1e-7
+    rng = np.random.default_rng(0)
+    Q, _ = np.linalg.qr(rng.standard_normal((200, 200)))
+    K = (Q * rng.random(200)) @ Q.T
+    K *= 3e9 / np.abs(K).max()
+    asym = np.abs(K - K.T).max()
+    assert 1e-8 < asym <= 1e-15 * np.abs(K).max()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(as_kernel(K).values, 0.5 * (K + K.T))
+
+
 def test_as_kernel_rejects_nonsquare():
     with pytest.raises(ValueError, match="square"):
         as_kernel(np.zeros((2, 3)))

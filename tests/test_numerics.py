@@ -12,6 +12,7 @@ import spclust
 import spclust.mkl
 import spclust.numerics
 import spclust.spc
+import spclust.workbench
 from spclust.numerics import (
     FactorizationError,
     check_finite,
@@ -267,10 +268,9 @@ def test_annotations_are_read_resolved():
         assert not reads, (module.__name__, reads)
 
 
-def test_every_export_is_used():
-    # a public name earns its place by being read: each name in spclust.__all__
-    # is loaded somewhere in the package's own modules, the demos or the
-    # benchmark's workloads, as a name or an attribute; an import does not count
+def _names_read():
+    # every name loaded, as a name or an attribute, in the package's own modules,
+    # the demos or the benchmark's workloads; an import does not count
     root = Path(__file__).resolve().parents[1]
     files = [p for p in (root / "src" / "spclust").glob("*.py") if p.name != "__init__.py"]
     files += [*(root / "demos").glob("*.py"), root / "perfbench" / "workloads.py"]
@@ -281,4 +281,23 @@ def test_every_export_is_used():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 used.add(node.attr)
-    assert sorted(set(spclust.__all__) - used) == []
+    return used
+
+
+def test_every_export_is_used():
+    # a public name earns its place by being read: each name in spclust.__all__
+    # is read by the package, the demos or the benchmark's workloads
+    assert sorted(set(spclust.__all__) - _names_read()) == []
+
+
+def test_every_public_workbench_name_is_used():
+    # the same rule for each public function and class spclust.workbench defines,
+    # exported or not: a name that only tests read is not public
+    public = {
+        name
+        for name, obj in vars(spclust.workbench).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == "spclust.workbench"
+    }
+    assert sorted(public - _names_read()) == []

@@ -10,16 +10,15 @@ import pytest
 
 import spclust as sp
 import spclust.workbench as workbench
+from spclust.kernels import _kernels
 from spclust.workbench import (
     ExperimentConfig,
     REPORT_VERSION,
     RunReport,
     SpcTrace,
-    build_kernel_choice,
     companion_labels_path,
     format_matrix,
     parse_matrix,
-    report_determinism_view,
     resolve_dataset,
 )
 
@@ -65,23 +64,23 @@ def test_matrix_file_bytes_are_pinned():
     assert text == "1,6\n-0,4.9406564584124654e-324,0.10000000000000001,0.33333333333333331,1e+308,2\n"
 
 
-# sha256 of format_matrix for the 12 bank kernels of two-moons n=600 (noise 0.08,
-# seed 1), then for the data matrix itself and for a square non-symmetric matrix;
-# recorded before symmetric matrices were written with each mirrored pair formatted once
+# sha256 of the float64 bytes of the 12 bank kernels of two-moons n=600 (noise 0.08,
+# seed 1): kernels are written as .npy, so their bits are pinned, not their text
 _BANK_600_SHA256 = [
-    "2d726be40044a92c6dc12ba701ca53055ed60fbac2142a5c61f9fbaeaaaa3935",
-    "64bc78ab3065705e1867c35d3fc981a43d0fd74e655a39e510bc42b6319c0c91",
-    "ac100232d98bdeffa0b9296f744aeb21afe5f4580d5d23fbb3b4d44f21d3622e",
-    "922fb6d4a8c0d46952ca1d240d9d6044f64fb33dcad72d462eba7c3d42066092",
-    "c5390bce28fbb89f3758ef8945a152ceedfaf1dc55e1432238d9fc466c986fdc",
-    "73294fff88dcc8dcd41a61c18e823e9431ef3a2388915fb0b536d96b764d2268",
-    "70698a5e871723239a0122ca0b33d96cfe744cdc784d398a7fc5022d9fc7083a",
-    "178d23c0f2cc6ece7691dc366d3f45f43ea1c378bc55c3dfc42936fdb9821209",
-    "d10c3953f73eba4e7baae32f57e91ef628be4d3193052dc321935dc30d20bb27",
-    "78e9b2d7e1ecf2ab5688ed4b59cfc9e85a1fdbab00f0ff98cc1aee379465875c",
-    "e781cf35b101e389fbf470b90d771e1b548958eda39b4a83ee7404b418f347e0",
-    "61f2c2a9bd31c74a9c28b592b74c978e6f3b713fe3d5c5d51102b8c1e9cdc167",
+    "9e8260910f706157d8dcce1fbc6b565a2416b845debf71e9cc460576e0884ad9",
+    "9ce9d985cceac8528c334d60a82ba758c9d53b11b619f31f622e6684d55e88d6",
+    "3dbb03efb1db8033a97fe03eea494454ef528239d26f74e5e15e20fd976c48d0",
+    "3e094a2cab7e0a76a5fe0abc43b0d525f82d6ab506c25fa38033f6a4d25aeb1b",
+    "0c234b5ba8d128913c2b2cd6a83425ac0b647d05f67b5093baa51d01573d2d98",
+    "10613fd3836e396975b80586c084aa9e33cf4bb20a498eb06e078bd1824c18fb",
+    "40e6d6923b29d4712b6594c7b6458007be445a5e4e0cbc167a3f234f499bfce4",
+    "cc318e86580d1c8c9027dfffbd9a5a2a4799e17758e06ae547c7e347f57dd794",
+    "f894f65dd7cb6565fa508acb76bc4d10524c91f1ea88f57d1d22a34f33d1ba14",
+    "ed01072c891d86ace5899c7fda877e2563f2ea70253c5abd1b248af71325a7ef",
+    "37f6026eb5296d81ad7823e9b0ac93218fa7d413aed3f7ee5b2d3cba16967558",
+    "24e3e05a883739e71a2bf0668f51ba9d5bbf67b3b66aaa75125d1f95c0e11272",
 ]
+# sha256 of format_matrix for the data matrix itself and for a square non-symmetric matrix
 _MOONS_600_SHA256 = "672b0795b646f2d7bb3e3fd4db0f41bbee8cb88e80710d41aea2dfd0d8d646cd"
 _NONSYMMETRIC_7_SHA256 = "5981dd34e0c9026a0a054fadba3c7fb7ca416f39085cea0e87bf1810c53da637"
 
@@ -92,7 +91,7 @@ def _sha256(A):
 
 def test_matrix_file_digests_are_pinned(moons_600):
     bank = sp.build_standard_bank(moons_600)
-    assert [_sha256(K.values) for K in bank] == _BANK_600_SHA256
+    assert [hashlib.sha256(K.values.tobytes()).hexdigest() for K in bank] == _BANK_600_SHA256
     assert _sha256(moons_600.values) == _MOONS_600_SHA256
     assert _sha256(np.random.default_rng(1).standard_normal((7, 7))) == _NONSYMMETRIC_7_SHA256
 
@@ -305,10 +304,6 @@ class _FullDisk:
         self.budget -= len(s)
         return self.fh.write(s)
 
-    def writelines(self, chunks):
-        for chunk in chunks:
-            self.write(chunk)
-
 
 def _disk_full_after(nbytes):
     real_open = open
@@ -327,7 +322,7 @@ def test_failed_write_leaves_directory_unchanged(tmp_path, monkeypatch):
     (tmp_path / "report.txt").write_text("old report\n")
     before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
 
-    # either file's header fits in 200 bytes; a text row or the binary data does not
+    # the .npy header fits in 200 bytes; the whole text, written at once, or the binary data does not
     monkeypatch.setattr(workbench, "open", _disk_full_after(200), raising=False)
     for path in (text_path, binary_path, str(tmp_path / "new.csv"), str(tmp_path / "new.npy")):
         with pytest.raises(OSError, match="No space"):
@@ -463,22 +458,27 @@ def test_resolve_dataset_sources(tmp_path):
 # --- kernel selection ---------------------------------------------------------------------
 
 
+def _kernels_of(X, choice):
+    # the normalized kernel(s) run_experiment builds for a choice string
+    return list(_kernels(X, sp.KernelSpec.parse(choice)))
+
+
 def test_build_kernel_choice():
     X = sp.generate_two_moons(20, 0.05, seed=0)
-    assert len(build_kernel_choice(X, "bank")) == 12
-    (K,) = build_kernel_choice(X, "gaussian:0.5")
+    assert len(_kernels_of(X, "bank")) == 12
+    (K,) = _kernels_of(X, "gaussian:0.5")
     assert K.spec == sp.KernelSpec("gaussian", t=0.5)
     assert K.values.min() == 0.0 and K.values.max() == 1.0
     for choice in ("poly:1,2", "poly:1,2.0"):  # an integral float exponent is an integer
-        (K,) = build_kernel_choice(X, choice)
+        (K,) = _kernels_of(X, choice)
         assert (K.spec.a, K.spec.b) == (1.0, 2) and type(K.spec.b) is int
     with pytest.raises(ValueError, match="polynomial exponent b must be an integer >= 1, got 2.5"):
-        build_kernel_choice(X, "poly:1,2.5")
-    (K,) = build_kernel_choice(X, "linear")
+        _kernels_of(X, "poly:1,2.5")
+    (K,) = _kernels_of(X, "linear")
     assert K.spec.family == "linear"
     for bad in ("gaussian", "poly:1", "poly:a,b", "rbf:1"):
         with pytest.raises(ValueError):
-            build_kernel_choice(X, bad)
+            _kernels_of(X, bad)
     # non-finite parameters are refused by name, and an overflowing power is
     # reported as a non-finite kernel rather than warned about
     for bad, message in (
@@ -487,21 +487,21 @@ def test_build_kernel_choice():
         ("poly:1e308,2", "polynomial kernel has non-finite entry"),
     ):
         with pytest.raises(ValueError, match=message):
-            build_kernel_choice(X, bad)
+            _kernels_of(X, bad)
 
 
 def test_kernel_labels():
     # str(spec) writes the choice text that KernelSpec.parse reads back to the same spec
     X = sp.generate_two_moons(12, 0.05, seed=0)
-    assert str(build_kernel_choice(X, "gaussian:10")[0].spec) == "gaussian:10"
-    assert str(build_kernel_choice(X, "poly:0,2")[0].spec) == "poly:0,2"
-    assert str(build_kernel_choice(X, "linear")[0].spec) == "linear"
+    assert str(_kernels_of(X, "gaussian:10")[0].spec) == "gaussian:10"
+    assert str(_kernels_of(X, "poly:0,2")[0].spec) == "poly:0,2"
+    assert str(_kernels_of(X, "linear")[0].spec) == "linear"
     bank = sp.KernelSpec.parse("bank")
     assert len(bank) == 12
     for spec in bank:
         assert sp.KernelSpec.parse(str(spec)) == (spec,), spec
     for choice in ("gaussian:0.0123456789", "gaussian:1e-5", f"gaussian:{1 / 3!r}", "poly:0.123456789,3", "poly:-0.5,1"):
-        (K,) = build_kernel_choice(X, choice)
+        (K,) = _kernels_of(X, choice)
         assert sp.KernelSpec.parse(str(K.spec)) == (K.spec,), choice
 
 
@@ -570,7 +570,7 @@ def test_config_fields_follow_solver_config(tmp_path):
         sp.run_experiment(cfg)
         text = (tmp_path / "run" / "report.txt").read_text()
         assert ExperimentConfig(**RunReport.from_text(text).config) == cfg
-        views.append(report_determinism_view(text))
+        views.append(_without_clocks(text))
     assert '"alpha": 4.0,' in views[0]
     assert views[0] == views[1]
 
@@ -711,18 +711,14 @@ def test_report_schema_follows_the_trace_annotations(monkeypatch):
         RunReport.from_text(json.dumps(data))
 
 
-def test_determinism_view_strips_timings():
-    text = sample_report().to_text()
-    view = json.loads(report_determinism_view(text))
-    assert "total_seconds" not in json.dumps(view) and "timings" not in view
-    assert view["config"] == sample_report().config
-    # the trace's wall times are the report's other clock readings
-    trace = dataclasses.asdict(sample_trace())
-    del trace["wall_time"]
-    assert view["trace"] == trace
-
-
 # --- end to end ----------------------------------------------------------------------------------
+
+
+def _without_clocks(text):
+    # report text without its clock readings, the timings and the trace's wall_time
+    view = dataclasses.asdict(RunReport.from_text(text))
+    del view["timings"], view["trace"]["wall_time"]
+    return json.dumps(view)
 
 
 def run_cfg_settings(tmp_path):
@@ -782,7 +778,7 @@ def test_run_experiment_requires_single_kernel_for_spc(tmp_path, monkeypatch):
     # rejected when the config is built, before any data is loaded or kernel built
     with pytest.raises(ValueError, match="single kernel"):
         run_cfg(tmp_path, kernel="bank", source="file:/no/such/file.csv")
-    monkeypatch.setattr(workbench, "build_kernel_choice", None)
+    monkeypatch.setattr(workbench, "_kernels", None)
     with pytest.raises(FileNotFoundError, match="/no/such/file.csv"):
         sp.run_experiment(run_cfg(tmp_path, source="file:/no/such/file.csv"))
 
@@ -822,7 +818,7 @@ def test_run_experiment_deterministic(tmp_path):
         with open(tmp_path / d / "report.txt") as fh:
             body = fh.read()
         # the out directory is part of the config echo; mask it
-        text.append(report_determinism_view(body).replace(str(tmp_path / d), "OUT"))
+        text.append(_without_clocks(body).replace(str(tmp_path / d), "OUT"))
     assert text[0] == text[1]
 
 
